@@ -9,13 +9,13 @@ ratios stay finite everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import AllZero, GridMismatch, OutOfBounds
+from .errors import AllZero, DbfError, GridMismatch, OutOfBounds
 
 POSITIVITY_FLOOR = 1e-300
 LOG_FLOOR = float(np.log(POSITIVITY_FLOOR))
@@ -158,13 +158,18 @@ class DensityGrid:
         lv = np.asarray(self.log_values, dtype=float).reshape(-1)
         if lv.shape[0] != self.grid.n_cells:
             raise ValueError("log_values length does not match grid size")
-        if np.any(np.isnan(lv)):
+        low = lv.min()
+        if np.isnan(low):
             raise ValueError("log density contains NaN")
-        if lv.min() < LOG_FLOOR - 1e-9:
+        if low < LOG_FLOOR - 1e-9:
             raise ValueError("density below positivity floor")
-        mass = float(np.exp(logsumexp(lv))) * self.grid.cell_volume
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ValueError(f"density integrates to {mass!r}, not 1")
+        # max-shifted log mass, compared through expm1 so +800 cannot overflow
+        top = float(lv.max())
+        log_mass = top
+        if math.isfinite(top):
+            log_mass += math.log(float(np.exp(lv - top).sum()) * self.grid.cell_volume)
+        if not abs(math.expm1(min(log_mass, 1.0))) <= _MASS_TOL:
+            raise ValueError(f"density has log mass {log_mass!r}, not 0")
         lv.flags.writeable = False
         object.__setattr__(self, "log_values", lv)
 
@@ -214,20 +219,46 @@ class DensityGrid:
 def floor_and_normalize(grid: StateGrid, log_values: np.ndarray) -> np.ndarray:
     """Normalize log values on a grid, then clamp cells to the positivity floor.
 
-    Raises AllZero when no cell carries any mass.
+    Returns a new array. Raises AllZero when no cell carries any mass.
     """
-    lv = np.asarray(log_values, dtype=float).reshape(-1)
-    if lv.shape[0] != grid.n_cells:
+    return floor_and_normalize_rows(grid, np.array(log_values, dtype=float).reshape(1, -1))[0]
+
+
+def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarray:
+    """Checked :func:`floor_and_normalize` of stacked fields, in place.
+
+    Each row of the (m, n_cells) float array is normalized, floored,
+    renormalized and floored again. Raises ValueError on a wrong row length
+    or a NaN, and AllZero when a row carries no mass.
+    """
+    if log_rows.ndim != 2 or log_rows.shape[1] != grid.n_cells:
         raise ValueError("log_values length does not match grid size")
-    if np.any(np.isnan(lv)):
+    top = log_rows.max(axis=1)
+    if np.isnan(top).any():
         raise ValueError("log density contains NaN")
-    log_mass = logsumexp(lv)
-    if not np.isfinite(log_mass):
+    if not np.isfinite(top).all():
         raise AllZero("density has no mass to normalize")
-    lv = lv - (log_mass + np.log(grid.cell_volume))
-    lv = np.maximum(lv, LOG_FLOOR)
-    lv = lv - (logsumexp(lv) + np.log(grid.cell_volume))
-    return np.maximum(lv, LOG_FLOOR)
+    log_volume = np.log(grid.cell_volume)
+    for _ in range(2):
+        log_rows -= _log_mass_rows(log_rows) + log_volume
+        np.maximum(log_rows, LOG_FLOOR, out=log_rows)
+    return log_rows
+
+
+def _log_mass_rows(log_rows: np.ndarray) -> np.ndarray:
+    """Log of each row's summed exponentials, as a column.
+
+    The maximal cells are split out of the sum and the rest enters through
+    ``log1p``, so the result keeps the precision of the small terms: a
+    rescaled field then normalizes to the same bits.
+    """
+    top = log_rows.max(axis=1, keepdims=True)
+    rest = log_rows - top
+    at_top = rest == 0.0
+    np.exp(rest, out=rest)
+    rest[at_top] = 0.0
+    ties = at_top.sum(axis=1, keepdims=True)
+    return np.log1p(rest.sum(axis=1, keepdims=True) / ties) + np.log(ties) + top
 
 
 def normalize_rows(log_values: np.ndarray, cell_volume: float) -> np.ndarray:
@@ -242,6 +273,25 @@ def normalize_rows(log_values: np.ndarray, cell_volume: float) -> np.ndarray:
     log_values -= top + np.log(mass * cell_volume)
     np.maximum(log_values, LOG_FLOOR, out=log_values)
     return log_values
+
+
+def l1_rows(log_p: np.ndarray, log_q: np.ndarray, cell_volume: float) -> np.ndarray:
+    """Grid L1 distance of each row of ``log_p`` from ``log_q``, a row or a stack.
+
+    The distance between two densities is at most 2, but the cell sum can
+    overshoot it by its own rounding, at most ``2 * cells * eps``; such an
+    overshoot is clamped to 2, and a larger one raises DbfError.
+    """
+    gap = np.exp(log_p)
+    gap -= np.exp(log_q)
+    l1 = np.abs(gap, out=gap).sum(axis=-1) * cell_volume
+    top = l1.max(initial=0.0)
+    if top > 2.0:
+        allowance = 2.0 * log_p.shape[-1] * np.finfo(float).eps
+        if not top <= 2.0 + allowance:
+            raise DbfError(f"L1 distance {top!r} exceeds 2 by more than rounding ({allowance:.2g})")
+        np.minimum(l1, 2.0, out=l1)
+    return l1
 
 
 def normalize(grid: StateGrid, raw_values: np.ndarray) -> DensityGrid:

@@ -18,18 +18,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import (
     DensityGrid,
-    ParticleSet,
     StateGrid,
     _check_same_grid,
-    l1_distance,
+    floor_and_normalize_rows,
+    l1_rows,
     normalize_rows,
 )
 from .errors import KernelInvalid, WeightRowInvalid
-from .pools import joint_likelihood, logop, PoolWeights
+from .pools import joint_likelihood
 
 _KERNEL_TOL = 1e-6
 _ROW_TOL = 1e-9
@@ -79,7 +78,9 @@ class TargetModel:
         diff = cells[None, :, :] - cells[:, None, :]
         sol = np.einsum("abi,ij->abj", diff, np.linalg.inv(cov))
         log_k = -0.5 * np.einsum("abi,abi->ab", diff, sol)
-        k = np.exp(log_k - logsumexp(log_k, axis=1, keepdims=True)) / grid.cell_volume
+        log_k -= log_k.max(axis=1, keepdims=True)
+        k = np.exp(log_k)
+        k /= k.sum(axis=1, keepdims=True) * grid.cell_volume
         chol = np.linalg.cholesky(cov)
 
         def sample(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -117,16 +118,12 @@ class ChannelNoise:
         return cls(eps_u, eps_l, np.random.default_rng(seed))
 
 
-def _perturb(pdf: DensityGrid, eps: float, rng: np.random.Generator) -> DensityGrid:
-    if eps == 0.0:
-        return pdf
-    xi = rng.uniform(-eps, eps, size=pdf.grid.n_cells)
-    return DensityGrid.from_log(pdf.grid, pdf.log_values + xi)
-
-
 def inject_channel_noise(u: DensityGrid, noise: ChannelNoise) -> DensityGrid:
     """Corrupt a communicated fusion density within the channel budget."""
-    return _perturb(u, noise.eps_u, noise.rng)
+    if noise.eps_u == 0.0:
+        return u
+    xi = noise.rng.uniform(-noise.eps_u, noise.eps_u, size=u.grid.n_cells)
+    return DensityGrid.from_log(u.grid, u.log_values + xi)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ class AgentState:
 
     ``w`` is the posterior, ``s`` the predicted prior, ``l`` the latest
     normalized likelihood, ``u`` the fusion state, ``t`` the power estimate
-    of the joint likelihood. ``particles`` optionally mirrors ``w``.
+    of the joint likelihood.
     """
 
     w: DensityGrid
@@ -143,18 +140,38 @@ class AgentState:
     l: DensityGrid | None = None
     u: DensityGrid | None = None
     t: DensityGrid | None = None
-    particles: ParticleSet | None = None
 
     @classmethod
     def initial(cls, prior: DensityGrid) -> "AgentState":
         return cls(w=prior)
 
 
+def _predict_rows(values: np.ndarray, tm: TargetModel, grid: StateGrid) -> np.ndarray:
+    """Stacked posterior values pushed through the kernel, as log rows."""
+    tm.validate_rows(grid)
+    vals = values @ tm.kernel
+    vals *= grid.cell_volume
+    with np.errstate(divide="ignore"):
+        return floor_and_normalize_rows(grid, np.log(vals))
+
+
+def _likelihood_rows(
+    sensor_models: Sequence[SensorModel | None],
+    measurements: Sequence[np.ndarray | None],
+    grid: StateGrid,
+) -> np.ndarray:
+    """Normalized log likelihood rows; a row without a sensor is uniform."""
+    raw = [
+        np.zeros(grid.n_cells) if sm is None or y is None
+        else np.asarray(sm.log_likelihood(y, grid), dtype=float).reshape(-1)
+        for sm, y in zip(sensor_models, measurements)
+    ]
+    return floor_and_normalize_rows(grid, np.stack(raw))
+
+
 def predict(w: DensityGrid, tm: TargetModel) -> DensityGrid:
     """Push a posterior through the transition kernel (Chapman-Kolmogorov)."""
-    tm.validate_rows(w.grid)
-    vals = (w.values @ tm.kernel) * w.grid.cell_volume
-    return DensityGrid.from_values(w.grid, vals)
+    return DensityGrid(w.grid, _predict_rows(w.values[None], tm, w.grid)[0])
 
 
 def normalized_likelihood(
@@ -163,15 +180,15 @@ def normalized_likelihood(
     grid: StateGrid,
 ) -> DensityGrid:
     """Normalized likelihood of a measurement; uniform without a sensor."""
-    if sm is None or y is None:
-        return DensityGrid.uniform(grid)
-    return DensityGrid.from_log(grid, sm.log_likelihood(y, grid))
+    return DensityGrid(grid, _likelihood_rows([sm], [y], grid)[0])
 
 
-def _check_row(weights: Sequence[float]) -> None:
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < -1e-15) or abs(w.sum() - 1.0) > _ROW_TOL:
+def _positive_weights(a: np.ndarray) -> np.ndarray:
+    """Fusion weights with entries <= 0 dropped; each row must sum to 1."""
+    a_pos = np.where(a > 0.0, a, 0.0)
+    if not (np.abs(a_pos.sum(axis=1) - 1.0) <= _ROW_TOL).all():
         raise WeightRowInvalid("fusion weights must be nonnegative and sum to 1")
+    return a_pos
 
 
 def fuse(
@@ -190,32 +207,60 @@ def fuse(
         return likelihood
     if likelihood_prev is None:
         raise ValueError("previous likelihood required after the first tick")
-    _check_row([w for _, w in received])
+    weights = np.array([[w for _, w in received]], dtype=float)
+    if np.any(weights < -1e-15):
+        raise WeightRowInvalid("fusion weights must be nonnegative and sum to 1")
+    weights = _positive_weights(weights)
     _check_same_grid(likelihood, likelihood_prev, *[u for u, _ in received])
-    acc = np.zeros(likelihood.grid.n_cells)
-    for u, w in received:
-        acc += w * u.log_values
-    acc += likelihood.log_values - likelihood_prev.log_values
-    return DensityGrid.from_log(likelihood.grid, acc)
+    row = consensus_update(
+        np.stack([u.log_values for u, _ in received]),
+        likelihood.log_values[None],
+        likelihood_prev.log_values[None],
+        weights,
+        likelihood.grid.cell_volume,
+    )
+    return DensityGrid(likelihood.grid, row[0])
 
 
 def power_estimate(u: DensityGrid, n_agents: int) -> DensityGrid:
     """Normalize U^n, the estimate of the joint likelihood."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    return DensityGrid.from_log(u.grid, n_agents * u.log_values)
+    return DensityGrid(u.grid, power_rows(u.log_values[None], n_agents, u.grid.cell_volume)[0])
 
 
 def update(s: DensityGrid, t: DensityGrid) -> DensityGrid:
     """Bayes update of the predicted prior with the fused likelihood power."""
     _check_same_grid(s, t)
-    return DensityGrid.from_log(s.grid, s.log_values + t.log_values)
+    log_w = floor_and_normalize_rows(s.grid, (s.log_values + t.log_values)[None])
+    return DensityGrid(s.grid, log_w[0])
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
     joint: DensityGrid
     l1_to_joint: np.ndarray
+
+
+def _channel_correction(
+    log_u: np.ndarray, a: np.ndarray, noise: ChannelNoise, grid: StateGrid
+) -> np.ndarray:
+    """Change to each receiver's row of ``a @ log_u`` from corrupted copies.
+
+    Every copy agent i receives from j != i with a[i, j] > 0 is corrupted and
+    renormalized on its own; the draws run in row-major order of (i, j).
+    """
+    rows, cols = np.nonzero(a)
+    keep = rows != cols
+    rows, cols = rows[keep], cols[keep]
+    xi = noise.rng.uniform(-noise.eps_u, noise.eps_u, size=(rows.size, grid.n_cells))
+    sent = log_u[cols]
+    change = floor_and_normalize_rows(grid, sent + xi)
+    change -= sent
+    change *= a[rows, cols][:, None]
+    correction = np.zeros_like(log_u)
+    np.add.at(correction, rows, change)
+    return correction
 
 
 def dbf_step(
@@ -232,46 +277,67 @@ def dbf_step(
     ``adjacency`` is the weight matrix for this tick; row i gives agent i's
     fusion weights. Channel noise corrupts each received copy independently
     and the agent's own modeled likelihood, never the diagnostics reference.
+    All agents run as stacked log rows, one row per agent; the rows become
+    checked densities only at the end.
     """
     n = len(agents)
     a = adjacency.values if hasattr(adjacency, "values") else np.asarray(adjacency, dtype=float)
     if a.shape != (n, n):
         raise ValueError("adjacency size does not match agent count")
     grid = agents[0].w.grid
+    _check_same_grid(*[st.w for st in agents])
+    vol = grid.cell_volume
+    noise = channel_noise
 
-    true_l = [
-        normalized_likelihood(sensor_models[i], measurements[i], grid) for i in range(n)
-    ]
-    if channel_noise is not None and channel_noise.eps_l > 0:
-        used_l = [_perturb(l, channel_noise.eps_l, channel_noise.rng) for l in true_l]
+    log_true = _likelihood_rows(
+        [sensor_models[i] for i in range(n)], [measurements[i] for i in range(n)], grid
+    )
+    log_l = log_true
+    if noise is not None and noise.eps_l > 0:
+        xi = noise.rng.uniform(-noise.eps_l, noise.eps_l, size=log_true.shape)
+        log_l = floor_and_normalize_rows(grid, log_true + xi)
+
+    if target_model is None:
+        log_s = np.stack([st.w.log_values for st in agents])
     else:
-        used_l = true_l
+        log_s = _predict_rows(np.stack([st.w.values for st in agents]), target_model, grid)
+
+    if k == 1:
+        log_u = log_l
+    else:
+        senders = np.flatnonzero((a > 0.0).any(axis=0))
+        if any(agents[j].u is None for j in senders):
+            raise ValueError("fusion state missing; was tick 1 run?")
+        if k < 1:
+            raise ValueError("tick index is 1 based")
+        if any(st.l is None for st in agents):
+            raise ValueError("previous likelihood required after the first tick")
+        a_pos = _positive_weights(a)
+        _check_same_grid(agents[0].w, *[st.l for st in agents], *[agents[j].u for j in senders])
+        log_u_prev = np.zeros((n, grid.n_cells))
+        for j in senders:
+            log_u_prev[j] = agents[j].u.log_values
+        log_l_prev = np.stack([st.l.log_values for st in agents])
+        # corrupted copies change a @ U per receiver; consensus_update adds
+        # that change along with the likelihood increment
+        log_l_mixed = log_l
+        if noise is not None and noise.eps_u > 0:
+            log_l_mixed = log_l + _channel_correction(log_u_prev, a_pos, noise, grid)
+        log_u = consensus_update(log_u_prev, log_l_mixed, log_l_prev, a_pos, vol)
+
+    log_t = power_rows(log_u, n, vol)
+    log_w = floor_and_normalize_rows(grid, log_s + log_t)
+    log_joint = floor_and_normalize_rows(grid, log_true.sum(axis=0, keepdims=True))
+    l1 = l1_rows(log_t, log_joint, vol)
 
     new_agents: list[AgentState] = []
-    for i in range(n):
-        state = agents[i]
-        s = state.w if target_model is None else predict(state.w, target_model)
-        if k == 1:
-            u = used_l[i]
-        else:
-            received = []
-            for j in range(n):
-                if a[i, j] <= 0.0:
-                    continue
-                u_j = agents[j].u
-                if u_j is None:
-                    raise ValueError("fusion state missing; was tick 1 run?")
-                if channel_noise is not None and j != i:
-                    u_j = inject_channel_noise(u_j, channel_noise)
-                received.append((u_j, float(a[i, j])))
-            u = fuse(used_l[i], state.l, received, k)
-        t = power_estimate(u, n)
-        w = update(s, t)
-        new_agents.append(AgentState(w=w, s=s, l=used_l[i], u=u, t=t, particles=None))
-
-    joint = joint_likelihood(true_l)
-    errs = np.array([l1_distance(st.t, joint) for st in new_agents])
-    return new_agents, StepDiagnostics(joint=joint, l1_to_joint=errs)
+    for i, state in enumerate(agents):
+        l = DensityGrid(grid, log_l[i])
+        u = l if log_u is log_l else DensityGrid(grid, log_u[i])
+        s = state.w if target_model is None else DensityGrid(grid, log_s[i])
+        w = DensityGrid(grid, log_w[i])
+        new_agents.append(AgentState(w=w, s=s, l=l, u=u, t=DensityGrid(grid, log_t[i])))
+    return new_agents, StepDiagnostics(joint=DensityGrid(grid, log_joint[0]), l1_to_joint=l1)
 
 
 @dataclass(frozen=True)
@@ -289,28 +355,31 @@ def multiloop_fuse(
     """Repeated within-tick fusion loops toward the joint likelihood.
 
     Loop 1 sets each agent's fusion state to its own likelihood; every later
-    loop applies the weighted log pool of the neighbors' states. Returns the
-    per-loop L2 norms of the vector of per-agent L1 errors to the joint.
+    loop applies the weighted log pool of the neighbors' states, with each
+    agent's positive weights rescaled to sum to one. Returns the per-loop L2
+    norms of the vector of per-agent L1 errors to the joint.
     """
     if n_loop < 1:
         raise ValueError("n_loop must be at least 1")
     n = len(likelihoods)
     a = adjacency.values if hasattr(adjacency, "values") else np.asarray(adjacency, dtype=float)
     joint = joint_likelihood(likelihoods)
-    u = list(likelihoods)
+    grid = joint.grid
+    mix = np.where(a > 0.0, a, 0.0)
+    totals = mix.sum(axis=1, keepdims=True)
+    if not (np.isfinite(totals) & (totals > 0.0)).all():
+        raise ValueError("every agent needs finite positive pool weights")
+    mix /= totals
+    log_u = np.stack([p.log_values for p in likelihoods])
     norms = []
     for loop in range(1, n_loop + 1):
         if loop > 1:
-            nxt = []
-            for i in range(n):
-                idx = np.flatnonzero(a[i] > 0.0)
-                w = PoolWeights(tuple(a[i, idx] / a[i, idx].sum()))
-                nxt.append(logop([u[j] for j in idx], w))
-            u = nxt
-        t = [power_estimate(ui, n) for ui in u]
-        e = np.array([l1_distance(ti, joint) for ti in t])
-        norms.append(float(np.linalg.norm(e)))
-    return MultiloopResult(fusion=u, estimates=t, error_norms=np.asarray(norms))
+            log_u = normalize_rows(mix @ log_u, grid.cell_volume)
+        log_t = power_rows(log_u, n, grid.cell_volume)
+        norms.append(float(np.linalg.norm(l1_rows(log_t, joint.log_values, grid.cell_volume))))
+    fusion = list(likelihoods) if n_loop == 1 else [DensityGrid(grid, row) for row in log_u]
+    estimates = [DensityGrid(grid, row) for row in log_t]
+    return MultiloopResult(fusion=fusion, estimates=estimates, error_norms=np.asarray(norms))
 
 
 def consensus_update(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import DensityGrid, _check_same_grid
 from .errors import WeightMismatch
@@ -57,7 +56,11 @@ def _stack(pdfs: Sequence[DensityGrid], w: PoolWeights | None = None) -> np.ndar
 def linop(pdfs: Sequence[DensityGrid], w: PoolWeights) -> DensityGrid:
     """Weighted arithmetic mean of densities (linear opinion pool)."""
     logs = _stack(pdfs, w)
-    mixed = logsumexp(logs, axis=0, b=w.as_array()[:, None])
+    weights = w.as_array()
+    keep = weights > 0.0
+    logs, weights = logs[keep], weights[keep]
+    top = logs.max(axis=0)
+    mixed = top + np.log(weights @ np.exp(logs - top))
     return DensityGrid.from_log(pdfs[0].grid, mixed)
 
 

@@ -25,6 +25,7 @@ from .density import (
     DensityGrid,
     LOG_FLOOR,
     StateGrid,
+    l1_rows,
     normalize_rows,
     systematic_indices,
 )
@@ -486,9 +487,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
         meas_prev = meas
 
         log_joint = normalize_rows(log_l.sum(axis=0), vol)
-        gap = np.exp(log_t)
-        gap -= np.exp(log_joint)
-        l1 = np.abs(gap, out=gap).sum(axis=1) * vol
+        l1 = l1_rows(log_t, log_joint, vol)
         max_l1[k - 1] = l1.max()
 
         # particle filters, one bank at a time so that its arrays stay in cache

@@ -9,15 +9,18 @@ from dbfnet.density import (
     ParticleSet,
     StateGrid,
     find_psi,
+    floor_and_normalize,
+    floor_and_normalize_rows,
     kl_divergence,
     l1_distance,
+    l1_rows,
     log_ratio,
     normalize,
     normalize_rows,
     resample,
     tv_distance,
 )
-from dbfnet.errors import AllZero, GridMismatch, OutOfBounds
+from dbfnet.errors import AllZero, DbfError, GridMismatch, OutOfBounds
 
 
 def grid_1d(lo=-6.0, hi=6.0, n=64):
@@ -130,6 +133,58 @@ def test_normalize_rows_matches_floor_and_normalize():
     for i in range(3):
         np.testing.assert_allclose(rows[i], DensityGrid.from_log(g, raw[i]).log_values, atol=1e-12)
     assert rows.min() >= LOG_FLOOR
+
+
+def test_floor_and_normalize_all_minus_inf_has_no_mass():
+    g = SMALL
+    with pytest.raises(AllZero):
+        floor_and_normalize(g, np.full(g.n_cells, -np.inf))
+    rows = np.zeros((2, g.n_cells))
+    rows[1] = -np.inf
+    with pytest.raises(AllZero):
+        floor_and_normalize_rows(g, rows)
+    with pytest.raises(ValueError, match="NaN"):
+        floor_and_normalize(g, np.full(g.n_cells, np.nan))
+    with pytest.raises(ValueError, match="grid size"):
+        floor_and_normalize(g, np.zeros(g.n_cells + 1))
+
+
+def test_density_grid_checks():
+    g = SMALL
+    good = DensityGrid.uniform(g).log_values
+    DensityGrid(g, good)
+    with pytest.raises(ValueError, match="NaN"):
+        DensityGrid(g, np.where(np.arange(g.n_cells) == 3, np.nan, good))
+    below = good.copy()
+    below[0] = LOG_FLOOR - 1e-6
+    with pytest.raises(ValueError, match="floor"):
+        DensityGrid(g, below)
+    # the mass tolerance is 1e-9: a shift of 2e-9 in every cell fails it, 5e-10 passes
+    DensityGrid(g, good + 5e-10)
+    with pytest.raises(ValueError, match="log mass"):
+        DensityGrid(g, good + 2e-9)
+    with pytest.raises(ValueError, match="log mass"):
+        DensityGrid(g, good - 2e-9)
+    with pytest.raises(ValueError, match="log mass"):
+        DensityGrid(g, np.full(g.n_cells, 800.0))
+    with pytest.raises(ValueError, match="log mass"):
+        DensityGrid(g, np.where(np.arange(g.n_cells) == 2, np.inf, good))
+
+
+def test_l1_rows_clamps_rounding_overshoot_only():
+    g = SMALL
+    p = DensityGrid.from_values(g, np.eye(g.n_cells)[0])
+    q = DensityGrid.from_values(g, np.eye(g.n_cells)[-1])
+    rows = np.stack([p.log_values, q.log_values])
+    np.testing.assert_allclose(l1_rows(rows, q.log_values, g.cell_volume), [2.0, 0.0], atol=1e-12)
+    # a total mass one rounding step above 1 pushes the sum just past 2
+    eps = np.finfo(float).eps
+    lifted = p.log_values + np.log1p(4 * eps)
+    assert np.abs(np.exp(lifted) - q.values).sum() * g.cell_volume > 2.0
+    assert l1_rows(lifted[None], q.log_values, g.cell_volume)[0] == 2.0
+    # an overshoot past the rounding allowance 2 * cells * eps is reported
+    with pytest.raises(DbfError):
+        l1_rows((p.log_values + 1e-9)[None], q.log_values, g.cell_volume)
 
 
 def test_floor_applied():

@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbfnet.density import DensityGrid, StateGrid, l1_distance
 from dbfnet.engine import (
@@ -20,7 +24,7 @@ from dbfnet.engine import (
     predict,
     update,
 )
-from dbfnet.errors import KernelInvalid, WeightRowInvalid
+from dbfnet.errors import GridMismatch, KernelInvalid, WeightRowInvalid
 from dbfnet.pools import bayes_update, joint_likelihood, kl_pool
 from dbfnet.topology import (
     Digraph,
@@ -337,6 +341,140 @@ def test_step_diagnostics_deterministic():
         return np.stack(out)
 
     np.testing.assert_array_equal(once(), once())
+
+
+# ------------------------------------------- stacked step against a reference
+
+
+def reference_step(agents, a, k, tm, sms, ys, noise=None):
+    """The per-agent loop over densities that dbf_step stacks into rows.
+
+    Draws follow the stacked step's order: every agent's modeled likelihood
+    first, then each received copy j != i with a[i, j] > 0, row by row.
+    """
+    n = len(agents)
+    grid = agents[0].w.grid
+    true_l = [normalized_likelihood(sms[i], ys[i], grid) for i in range(n)]
+    used_l = true_l
+    if noise is not None and noise.eps_l > 0:
+        used_l = [
+            DensityGrid.from_log(
+                grid, l.log_values + noise.rng.uniform(-noise.eps_l, noise.eps_l, grid.n_cells)
+            )
+            for l in true_l
+        ]
+    out = []
+    for i in range(n):
+        s = agents[i].w if tm is None else predict(agents[i].w, tm)
+        if k == 1:
+            u = used_l[i]
+        else:
+            received = []
+            for j in range(n):
+                if a[i, j] <= 0.0:
+                    continue
+                u_j = agents[j].u
+                if noise is not None and j != i:
+                    u_j = inject_channel_noise(u_j, noise)
+                received.append((u_j, float(a[i, j])))
+            u = fuse(used_l[i], agents[i].l, received, k)
+        t = power_estimate(u, n)
+        out.append(AgentState(w=update(s, t), s=s, l=used_l[i], u=u, t=t))
+    joint = joint_likelihood(true_l)
+    return out, np.array([l1_distance(x.t, joint) for x in out]), joint
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    moving=st.booleans(),
+    noisy=st.booleans(),
+    ticks=st.integers(1, 4),
+)
+def test_dbf_step_matches_per_agent_reference(n, seed, moving, noisy, ticks):
+    rng = np.random.default_rng(seed)
+    g = grid_1d(-4.0, 4.0, 24)
+    a = metropolis_weights(random_connected_graph(n, rng)).values
+    tm = TargetModel.gaussian_walk(g, [[0.3]]) if moving else None
+    sms = [gaussian_sensor(float(s)) for s in rng.uniform(0.5, 2.0, n)]
+    plan = rng.uniform(-2.0, 2.0, (ticks, n, 1))
+    noise_seed = int(rng.integers(1 << 30))
+    noise = ChannelNoise.from_seed(0.03, 0.02, noise_seed) if noisy else None
+    ref_noise = ChannelNoise.from_seed(0.03, 0.02, noise_seed) if noisy else None
+    prior = DensityGrid.gaussian(g, 0.0, [[2.0]])
+    agents = [AgentState.initial(prior) for _ in range(n)]
+    ref = list(agents)
+    for k in range(1, ticks + 1):
+        ys = list(plan[k - 1])
+        agents, diag = dbf_step(agents, a, k, tm, sms, ys, channel_noise=noise)
+        ref, ref_l1, ref_joint = reference_step(ref, a, k, tm, sms, ys, ref_noise)
+        np.testing.assert_allclose(diag.l1_to_joint, ref_l1, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(diag.joint.log_values, ref_joint.log_values, atol=1e-9, rtol=0)
+        for got, want in zip(agents, ref):
+            for name in ("w", "s", "l", "u", "t"):
+                np.testing.assert_allclose(
+                    getattr(got, name).log_values, getattr(want, name).log_values, atol=1e-9, rtol=0
+                )
+
+
+def _two_agents(g):
+    sms = [gaussian_sensor(1.0)] * 2
+    ys = [np.array([0.5]), np.array([-0.5])]
+    agents = [AgentState.initial(DensityGrid.uniform(g)) for _ in range(2)]
+    agents, _ = dbf_step(agents, np.full((2, 2), 0.5), 1, None, sms, ys)
+    return agents, sms, ys
+
+
+def test_dbf_step_errors():
+    g = grid_1d()
+    agents, sms, ys = _two_agents(g)
+    with pytest.raises(ValueError, match="adjacency size"):
+        dbf_step(agents, np.eye(3), 2, None, sms, ys)
+    fresh = [AgentState.initial(DensityGrid.uniform(g)) for _ in range(2)]
+    with pytest.raises(ValueError, match="fusion state missing"):
+        dbf_step(fresh, np.full((2, 2), 0.5), 2, None, sms, ys)
+    # a receiver that takes no weight from the agent without a state is fine
+    partial = [agents[0], AgentState(w=agents[1].w, l=agents[1].l)]
+    dbf_step(partial, np.array([[1.0, 0.0], [1.0, 0.0]]), 2, None, sms, ys)
+    with pytest.raises(WeightRowInvalid):
+        dbf_step(agents, np.array([[0.5, 0.4], [0.5, 0.5]]), 2, None, sms, ys)
+    with pytest.raises(WeightRowInvalid):
+        dbf_step(agents, np.array([[0.0, 0.0], [0.5, 0.5]]), 2, None, sms, ys)
+    # entries <= 0 are skipped, so a row whose positive part sums to 1 passes
+    dbf_step(agents, np.array([[1.0, -0.5], [0.5, 0.5]]), 2, None, sms, ys)
+    # at tick 1 no weights are read
+    dbf_step(fresh, np.array([[0.5, 0.4], [0.5, 0.5]]), 1, None, sms, ys)
+    bad = TargetModel(sample=lambda x, rng: x, kernel=np.eye(g.n_cells))
+    with pytest.raises(KernelInvalid):
+        dbf_step(agents, np.full((2, 2), 0.5), 2, bad, sms, ys)
+
+
+def test_dbf_step_rejects_agents_on_two_grids():
+    g, h = grid_1d(), grid_1d(-5.0, 5.0)
+    on_g, sms, ys = _two_agents(g)
+    on_h, _, _ = _two_agents(h)
+    fresh = [AgentState.initial(DensityGrid.uniform(g)), AgentState.initial(DensityGrid.uniform(h))]
+    with pytest.raises(GridMismatch):
+        dbf_step(fresh, np.full((2, 2), 0.5), 1, None, sms, ys)
+    with pytest.raises(GridMismatch):
+        dbf_step([on_g[0], on_h[1]], np.full((2, 2), 0.5), 2, None, sms, ys)
+    stale = [on_g[0], AgentState(w=on_g[1].w, l=on_h[1].l, u=on_g[1].u)]
+    with pytest.raises(GridMismatch):
+        dbf_step(stale, np.full((2, 2), 0.5), 2, None, sms, ys)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\s+```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no Library use code block"
+    namespace: dict = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    diag = namespace["diag"]
+    assert isinstance(diag, StepDiagnostics)
+    assert diag.l1_to_joint.shape == (3,)
+    assert np.all((diag.l1_to_joint >= 0.0) & (diag.l1_to_joint <= 2.0))
+    assert capsys.readouterr().out.strip()
 
 
 # ---------------------------------------------------------------- multiloop
