@@ -3,14 +3,12 @@
 from .density import (
     DensityGrid,
     LogRatioField,
-    ParticleSet,
     StateGrid,
     find_psi,
     kl_divergence,
     l1_distance,
     log_ratio,
     normalize,
-    resample,
     tv_distance,
 )
 from .pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, linop, logop

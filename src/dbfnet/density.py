@@ -359,37 +359,6 @@ def log_ratio(p: DensityGrid, psi: np.ndarray) -> LogRatioField:
     return LogRatioField(p.grid, vals, tuple(np.asarray(psi, dtype=float)))
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleSet:
-    """Weighted particles over the state space."""
-
-    states: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if states.shape[0] != weights.shape[0] or states.shape[0] < 1:
-            raise ValueError("need one weight per particle and at least one particle")
-        if np.any(weights < 0) or np.any(np.isnan(weights)):
-            raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise AllZero("particle weights sum to zero")
-        weights = weights / total
-        states.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.states
-
-
 def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Systematic resampling index vector with a single uniform offset."""
     cum = np.cumsum(weights)
@@ -397,14 +366,3 @@ def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator
     positions = (rng.uniform() + np.arange(count)) / count
     return np.searchsorted(cum, positions, side="left")
 
-
-def resample(ps: ParticleSet, count: int, rng_seed) -> ParticleSet:
-    """Systematic resample to ``count`` equally weighted particles.
-
-    ``rng_seed`` is either an integer seed or a numpy Generator.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(int(rng_seed))
-    idx = systematic_indices(ps.weights, count, rng)
-    return ParticleSet(ps.states[idx], np.full(count, 1.0 / count))

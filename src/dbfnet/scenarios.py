@@ -2,7 +2,8 @@
 
 Scenario 1 tracks a constant-velocity target with range and bearing sensors
 through the full density fusion pipeline on a position grid, with a particle
-filter carrying each agent's Bayes recursion. Scenario 2 swaps the sensors
+filter carrying each agent's Bayes recursion and one more bank, stepped the
+same way, carrying the centralized reference. Scenario 2 swaps the sensors
 for linear position sensors and runs the information-filter specialization.
 The formation task closes the loop: agents steer with artificial potentials
 acting on fused position estimates of one another.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -127,7 +129,7 @@ class BenchmarkConfig:
     noise_tau: float = 2.0
     reset_period: float = 0.0
     doa_printed_order: bool = True
-    delta_target: float = 1.5
+    delta_target: float = 1.0
     eta: float = 0.5
     x0: tuple[float, float, float, float] = (25.0, 1.8, 30.0, 1.5)
     prior_pos_sigma: float = 20.0
@@ -151,6 +153,8 @@ class BenchmarkConfig:
             raise ConfigInvalid("noise_tau must be nonnegative")
         if self.reset_period < 0:
             raise ConfigInvalid("reset_period must be nonnegative")
+        if not (0.0 < self.eta < 1.0 and 0.0 < self.delta_target < 2.0 / (1.0 + self.eta)):
+            raise ConfigInvalid("need eta in (0, 1) and delta_target in (0, 2 / (1 + eta))")
         xmin, xmax, ymin, ymax = self.region
         if xmin >= xmax or ymin >= ymax:
             raise ConfigInvalid("region must be a nonempty box")
@@ -294,22 +298,6 @@ def _init_particles(cfg: BenchmarkConfig, center: np.ndarray, rng: np.random.Gen
     return p
 
 
-def _pf_refresh(
-    particles: np.ndarray,
-    log_w: np.ndarray,
-    rng: np.random.Generator,
-    rough_pos: float,
-    rough_vel: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Systematic resample with a small roughening jitter."""
-    w = np.exp(log_w - log_w.max())
-    idx = systematic_indices(w, particles.shape[0], rng)
-    particles = particles[idx]
-    particles[:, [0, 2]] += rough_pos * rng.standard_normal((particles.shape[0], 2))
-    particles[:, [1, 3]] += rough_vel * rng.standard_normal((particles.shape[0], 2))
-    return particles, np.zeros(particles.shape[0])
-
-
 def _ess(log_w: np.ndarray) -> float:
     w = np.exp(log_w - logsumexp(log_w))
     return 1.0 / float((w**2).sum())
@@ -345,40 +333,50 @@ def _observed_kappa(max_l1: np.ndarray, threshold: float) -> int | None:
     return int(above[-1]) + 2
 
 
+def _measurement_log_likelihoods(
+    cfg: BenchmarkConfig, layout: Layout, meas: dict, points: np.ndarray
+) -> np.ndarray:
+    """Unnormalized log likelihood of each agent's measurement at (m, 2) points.
+
+    Agents without a sensor get a zero row.
+    """
+    log_l = np.zeros((cfg.n_agents, points.shape[0]))
+    for i, (kind, y) in meas.items():
+        if kind == "toa":
+            log_l[i] = toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
+        else:
+            log_l[i] = doa_log_likelihood(
+                points, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
+            )
+    return log_l
+
+
 def _scenario1_log_likelihoods(
     cfg: BenchmarkConfig, layout: Layout, meas: dict, grid: StateGrid
 ) -> np.ndarray:
     """Normalized, floored per-agent log likelihoods on the grid's cells."""
-    cells = grid.cells
-    log_l = np.zeros((cfg.n_agents, grid.n_cells))
-    for i, (kind, y) in meas.items():
-        if kind == "toa":
-            log_l[i] = toa_log_likelihood(cells, layout.positions[i], y, cfg.sigma_r)
-        else:
-            log_l[i] = doa_log_likelihood(
-                cells, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
-            )
+    log_l = _measurement_log_likelihoods(cfg, layout, meas, grid.cells)
     return normalize_rows(log_l, grid.cell_volume)
 
 
 def _bank_step(
     bank: np.ndarray,
     log_w: np.ndarray,
-    log_t: np.ndarray,
-    grid: StateGrid,
+    log_likelihood: Callable[[np.ndarray], np.ndarray],
     f: np.ndarray,
     chol: np.ndarray,
     rng: np.random.Generator,
     rough: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """One agent's particle filter tick, in place on its (4, P) bank.
+    """One particle filter tick, in place on a (4, P) bank.
 
-    Propagates with process noise, weights by the fused field ``log_t`` on
-    ``grid``, and when the effective sample size falls below half the bank
-    does a systematic resample with a roughening jitter. ``log_w`` is updated
-    in place and the normalized weights are returned. ``scratch`` is a
-    (2, 4, P) buffer, so that a tick allocates no bank-sized temporaries.
+    Propagates with process noise, adds ``log_likelihood`` of the (P, 2)
+    particle positions to the log weights, and when the effective sample
+    size falls below half the bank does a systematic resample with a
+    roughening jitter. ``log_w`` is updated in place and the normalized
+    weights are returned. ``scratch`` is a (2, 4, P) buffer, so that a tick
+    allocates no bank-sized temporaries.
     """
     count = bank.shape[1]
     noise, moved = scratch
@@ -386,7 +384,7 @@ def _bank_step(
     np.matmul(f, bank, out=moved)
     np.matmul(chol, noise, out=bank)
     bank += moved
-    log_w += grid.log_interp(log_t, bank[::2].T)
+    log_w += log_likelihood(bank[::2].T)
     log_w -= log_w.max()
     w = np.exp(log_w)
     mass = w.sum()
@@ -425,20 +423,18 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     f, q = target_dynamics_cv(cfg.dt)
     chol = np.linalg.cholesky(q)
 
-    agent_rngs = [named_stream(cfg.seed, "pf", i) for i in range(n)]
-    central_rng = named_stream(cfg.seed, "pf-central")
+    # bank n is the centralized reference, weighted by every measurement
+    rngs = [named_stream(cfg.seed, "pf", i) for i in range(n)]
+    rngs.append(named_stream(cfg.seed, "pf-central"))
     x0 = truth_m[0]
-    # agent banks are component major, (agent, state, particle)
-    particles = np.stack([_init_particles(cfg, x0, agent_rngs[i]).T for i in range(n)])
-    log_w = np.zeros((n, cfg.particles))
+    # banks are component major, (bank, state, particle)
+    particles = np.stack([_init_particles(cfg, x0, rng).T for rng in rngs])
+    log_w = np.zeros((n + 1, cfg.particles))
     means = particles.mean(axis=2)
     scratch = np.empty((2,) + particles.shape[1:])
-    c_particles = _init_particles(cfg, x0, central_rng)
-    c_log_w = np.zeros(cfg.particles)
 
     rough_pos = 0.25 * float(grid.widths.min())
-    rough_vel = 0.1
-    rough = np.array([rough_pos, rough_vel, rough_pos, rough_vel])
+    rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
     region_lower = np.array(grid.lower)
     cell_width = grid.widths
     half_window = 0.5 * np.array(grid.points)
@@ -462,7 +458,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
 
         # re-centre the window, in whole cells, on the network mean of the
         # agents' predicted means
-        frame = (f @ means.mean(axis=0))[::2]
+        frame = (f @ means[:n].mean(axis=0))[::2]
         new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
         if offset is None or (new_offset != offset).any():
             grid = cfg.position_grid(tuple(new_offset))
@@ -490,33 +486,20 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
         l1 = l1_rows(log_t, log_joint, vol)
         max_l1[k - 1] = l1.max()
 
-        # particle filters, one bank at a time so that its arrays stay in cache
-        for i in range(n):
-            w = _bank_step(
-                particles[i], log_w[i], log_t[i], grid, f, chol, agent_rngs[i], rough, scratch
-            )
-            means[i] = particles[i] @ w
-        est = means[:, ::2]
+        # particle filters, one bank at a time so that its arrays stay in cache:
+        # agents weight by their fused field, the reference by the exact
+        # likelihoods of every measurement
+        likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
+        likelihoods.append(
+            lambda points: _measurement_log_likelihoods(cfg, layout, meas, points).sum(axis=0)
+        )
+        for b, log_likelihood in enumerate(likelihoods):
+            w = _bank_step(particles[b], log_w[b], log_likelihood, f, chol, rngs[b], rough, scratch)
+            means[b] = particles[b] @ w
+        est = means[:n, ::2]
         estimates[k - 1] = est
         sq_err[k - 1] = ((est - truth_row[[0, 2]]) ** 2).sum(axis=1)
-
-        c_particles = c_particles @ f.T + central_rng.standard_normal((cfg.particles, 4)) @ chol.T
-        c_pos = c_particles[:, [0, 2]]
-        for i, (kind, y) in meas.items():
-            if kind == "toa":
-                c_log_w += toa_log_likelihood(c_pos, layout.positions[i], y, cfg.sigma_r)
-            else:
-                c_log_w += doa_log_likelihood(
-                    c_pos, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
-                )
-        c_log_w -= logsumexp(c_log_w)
-        if _ess(c_log_w) < 0.5 * cfg.particles:
-            c_particles, c_log_w = _pf_refresh(
-                c_particles, c_log_w, central_rng, rough_pos, rough_vel
-            )
-        cw = np.exp(c_log_w - logsumexp(c_log_w))
-        c_est = cw @ c_pos
-        c_sq_err[k - 1] = float(((c_est - truth_row[[0, 2]]) ** 2).sum())
+        c_sq_err[k - 1] = float(((means[n, ::2] - truth_row[[0, 2]]) ** 2).sum())
 
         for i in range(n):
             rows.append((k, i, "sq_err", float(sq_err[k - 1, i])))
@@ -619,16 +602,6 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
         "mse_gap": abs(mse - mse_c),
     }
     return RunMetrics(rows=rows, summary=summary, estimates=estimates, truth=truth_used)
-
-
-def centralized_baselines(cfg: BenchmarkConfig) -> dict:
-    """Centralized references for both benchmark scenarios on cfg's stream."""
-    s1 = run_benchmark_scenario1(cfg)
-    s2 = run_benchmark_scenario2(cfg)
-    return {
-        "particle_mse": s1.summary["steady_state_mse_central"],
-        "kalman_mse": s2.summary["steady_state_mse_central"],
-    }
 
 
 @dataclass(frozen=True)

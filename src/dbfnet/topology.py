@@ -72,10 +72,6 @@ def strongly_connected(g: Digraph) -> bool:
     return bool(reach.all())
 
 
-def _connected_undirected(g: Digraph) -> bool:
-    return strongly_connected(g)
-
-
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Square nonnegative matrix with unit row and column sums."""
@@ -115,6 +111,25 @@ class AdjacencyMatrix:
         return float(pos.min()) if pos.size else 0.0
 
 
+def _degree_weights(g: Digraph, extra: float, require_connected: bool) -> AdjacencyMatrix:
+    """Weights A[i, j] = 1 / (extra + max(d_i, d_j)) on an undirected graph's edges.
+
+    The diagonal takes whatever is left so each row sums to one.
+    """
+    if not g.is_symmetric():
+        raise NotSymmetric("degree-based weights need an undirected graph")
+    if require_connected and g.n > 1 and not strongly_connected(g):
+        raise Disconnected("communication graph is not connected")
+    deg = np.zeros(g.n)
+    for i, j in g.edges:
+        deg[i] += 1
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = 1.0 / (extra + max(deg[i], deg[j]))
+    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
+    return AdjacencyMatrix(a)
+
+
 def local_degree_weights(g: Digraph, require_connected: bool = True) -> AdjacencyMatrix:
     """Doubly stochastic weights A[i, j] = 1 / max(d_i, d_j) on an undirected graph.
 
@@ -122,19 +137,7 @@ def local_degree_weights(g: Digraph, require_connected: bool = True) -> Adjacenc
     require_connected=False for one slot of a schedule whose connectivity
     only holds over a window of slots.
     """
-    if not g.is_symmetric():
-        raise NotSymmetric("local degree weights need an undirected graph")
-    if require_connected and g.n > 1 and not _connected_undirected(g):
-        raise Disconnected("communication graph is not connected")
-    deg = np.zeros(g.n)
-    for i, j in g.edges:
-        deg[i] += 1
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0 / max(deg[i], deg[j])
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    return AdjacencyMatrix(a)
+    return _degree_weights(g, 0.0, require_connected)
 
 
 def metropolis_weights(g: Digraph, require_connected: bool = True) -> AdjacencyMatrix:
@@ -144,19 +147,7 @@ def metropolis_weights(g: Digraph, require_connected: bool = True) -> AdjacencyM
     which the window-product entry bound needs. Pass require_connected=False
     for one slot of a schedule whose connectivity only holds over a window.
     """
-    if not g.is_symmetric():
-        raise NotSymmetric("metropolis weights need an undirected graph")
-    if require_connected and g.n > 1 and not _connected_undirected(g):
-        raise Disconnected("communication graph is not connected")
-    deg = np.zeros(g.n)
-    for i, j in g.edges:
-        deg[i] += 1
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    return AdjacencyMatrix(a)
+    return _degree_weights(g, 1.0, require_connected)
 
 
 @dataclass(frozen=True)
@@ -361,14 +352,7 @@ def random_schedule(
                 continue
             for chunk in chunks:
                 sub = Digraph.undirected(n, chunk)
-                deg = np.zeros(n)
-                for i, j in sub.edges:
-                    deg[i] += 1
-                a = np.zeros((n, n))
-                for i, j in sub.edges:
-                    a[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
-                np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-                mats.append(AdjacencyMatrix(a))
+                mats.append(metropolis_weights(sub, require_connected=False))
         sched = AdjacencySchedule(tuple(mats), b)
         report = check_assumption1(sched)
         if not report.ok:

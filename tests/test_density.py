@@ -6,7 +6,6 @@ from dbfnet.density import (
     DensityGrid,
     LOG_FLOOR,
     LogRatioField,
-    ParticleSet,
     StateGrid,
     find_psi,
     floor_and_normalize,
@@ -17,7 +16,7 @@ from dbfnet.density import (
     log_ratio,
     normalize,
     normalize_rows,
-    resample,
+    systematic_indices,
     tv_distance,
 )
 from dbfnet.errors import AllZero, DbfError, GridMismatch, OutOfBounds
@@ -305,35 +304,25 @@ def test_log_ratio_field_validates_anchor():
 # ---------------------------------------------------------------- particles
 
 
-def test_particle_set_normalizes():
-    ps = ParticleSet(np.zeros((4, 2)), np.array([1.0, 1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(ps.weights, 0.25)
-    with pytest.raises(AllZero):
-        ParticleSet(np.zeros((2, 1)), np.array([0.0, 0.0]))
-
-
 def test_resample_deterministic():
     states = np.arange(10, dtype=float).reshape(-1, 1)
-    ps = ParticleSet(states, np.ones(10))
-    a = resample(ps, 10, 7)
-    b = resample(ps, 10, 7)
-    np.testing.assert_array_equal(a.states, b.states)
+    a = states[systematic_indices(np.ones(10), 10, np.random.default_rng(7))]
+    b = states[systematic_indices(np.ones(10), 10, np.random.default_rng(7))]
+    np.testing.assert_array_equal(a, b)
 
 
 def test_resample_even_split():
     states = np.array([[0.0], [1.0]])
-    ps = ParticleSet(states, np.array([0.5, 0.5]))
-    out = resample(ps, 1000, 3)
-    ones = int(out.states.sum())
+    idx = systematic_indices(np.array([0.5, 0.5]), 1000, np.random.default_rng(3))
+    assert idx.shape == (1000,)
+    ones = int(states[idx].sum())
     assert abs(ones - 500) <= 1
-    np.testing.assert_allclose(out.weights, 1e-3)
 
 
 def test_resample_concentrates_on_heavy_particle():
     states = np.array([[0.0], [1.0]])
-    ps = ParticleSet(states, np.array([1e-12, 1.0]))
-    out = resample(ps, 100, 0)
-    assert out.states.min() == 1.0
+    idx = systematic_indices(np.array([1e-12, 1.0]), 100, np.random.default_rng(0))
+    assert states[idx].min() == 1.0
 
 
 # ------------------------------------------------------------ property tests

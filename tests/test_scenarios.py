@@ -9,11 +9,11 @@ from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
     MultiloopConfig,
+    _bank_step,
     _observed_kappa,
     apf_term,
     bearing,
     benchmark_layout,
-    centralized_baselines,
     doa_log_likelihood,
     master_trajectory,
     run_benchmark_scenario1,
@@ -135,6 +135,11 @@ def test_benchmark_config_validation():
         tiny_benchmark(region=(10.0, 0.0, 0.0, 10.0))
     with pytest.raises(ConfigInvalid):
         tiny_benchmark(reset_period=-1.0)
+    # the steady L1 target must leave (1 + eta) delta_target below the L1 bound of 2
+    with pytest.raises(ConfigInvalid):
+        tiny_benchmark(delta_target=1.5, eta=0.5)
+    with pytest.raises(ConfigInvalid):
+        tiny_benchmark(eta=1.0)
     cfg = tiny_benchmark()
     assert cfg.steps == 10
     assert cfg.stride == 10
@@ -189,6 +194,50 @@ def test_scenario1_smoke_metrics():
     assert s["steady_state_mse_central"] >= 0.0
     assert 0.0 <= s["max_l1_final_window"] <= 2.0
     assert s["observed_kappa"] is None or s["observed_kappa"] >= 1
+
+
+def _bank_inputs(count=200, seed=5):
+    rng = np.random.default_rng(seed)
+    bank = rng.standard_normal((4, count))
+    f, q = target_dynamics_cv(0.1)
+    rough = np.array([0.5, 0.1, 0.5, 0.1])
+    return bank, np.zeros(count), f, np.linalg.cholesky(q), rough, np.empty((2, 4, count))
+
+
+def test_bank_step_flat_increment_keeps_uniform_weights():
+    bank, log_w, f, chol, rough, scratch = _bank_inputs()
+    expected = f @ bank + chol @ np.random.default_rng(9).standard_normal(bank.shape)
+    rng = np.random.default_rng(9)
+    w = _bank_step(bank, log_w, lambda points: np.zeros(len(points)), f, chol, rng, rough, scratch)
+    np.testing.assert_allclose(w, 1.0 / bank.shape[1], rtol=1e-12)
+    # normalized in place, not reset: a resample would leave 0
+    np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
+    # no resample: the bank is the propagated one and the stream drew only the noise
+    np.testing.assert_allclose(bank, expected, rtol=1e-12, atol=1e-12)
+    rest = np.random.default_rng(9)
+    rest.standard_normal(bank.shape)
+    assert rng.uniform() == rest.uniform()
+
+
+def test_bank_step_collapse_resamples_in_place():
+    bank, log_w, f, chol, rough, scratch = _bank_inputs()
+    count = bank.shape[1]
+    before = bank.copy()
+
+    def collapse(points):
+        inc = np.full(len(points), -1e3)
+        inc[7] = 0.0
+        return inc
+
+    w = _bank_step(bank, log_w, collapse, f, chol, np.random.default_rng(2), rough, scratch)
+    assert not np.array_equal(bank, before)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(w, 1.0 / count)
+    np.testing.assert_array_equal(log_w, 0.0)
+    # every particle is a roughened copy of the one that carried the weight
+    propagated = f @ before + chol @ np.random.default_rng(2).standard_normal(bank.shape)
+    spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
+    assert np.all(spread < 8.0 * rough)
 
 
 def test_scenario1_deterministic():
@@ -276,12 +325,6 @@ def test_scenario2_tiny_measurement_noise():
     assert res.summary["steady_state_mse"] <= 1.0
     fine = run_benchmark_scenario2(tiny_benchmark(dt=0.05, **base))
     assert fine.summary["steady_state_mse"] < res.summary["steady_state_mse"]
-
-
-def test_centralized_baselines_report_both():
-    out = centralized_baselines(tiny_benchmark(duration=0.5))
-    assert set(out) == {"particle_mse", "kalman_mse"}
-    assert out["particle_mse"] >= 0.0 and out["kalman_mse"] >= 0.0
 
 
 # ---------------------------------------------------------------- formation
