@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -335,27 +335,36 @@ def _observed_kappa(max_l1: np.ndarray, threshold: float) -> int | None:
 
 def _measurement_log_likelihoods(
     cfg: BenchmarkConfig, layout: Layout, meas: dict, points: np.ndarray
-) -> np.ndarray:
-    """Unnormalized log likelihood of each agent's measurement at (m, 2) points.
-
-    Agents without a sensor get a zero row.
-    """
-    log_l = np.zeros((cfg.n_agents, points.shape[0]))
-    for i, (kind, y) in meas.items():
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each measuring agent's index and unnormalized log likelihood at (m, 2)
+    points, in agent order."""
+    for i in sorted(meas):
+        kind, y = meas[i]
         if kind == "toa":
-            log_l[i] = toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
+            yield i, toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
         else:
-            log_l[i] = doa_log_likelihood(
+            yield i, doa_log_likelihood(
                 points, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
             )
-    return log_l
+
+
+def _joint_log_likelihood(
+    cfg: BenchmarkConfig, layout: Layout, meas: dict, points: np.ndarray
+) -> np.ndarray:
+    """Sum of every measurement's log likelihood at (m, 2) points, added in agent order."""
+    total = np.zeros(points.shape[0])
+    for _, log_l in _measurement_log_likelihoods(cfg, layout, meas, points):
+        total += log_l
+    return total
 
 
 def _scenario1_log_likelihoods(
     cfg: BenchmarkConfig, layout: Layout, meas: dict, grid: StateGrid
 ) -> np.ndarray:
     """Normalized, floored per-agent log likelihoods on the grid's cells."""
-    log_l = _measurement_log_likelihoods(cfg, layout, meas, grid.cells)
+    log_l = np.zeros((cfg.n_agents, grid.n_cells))
+    for i, row in _measurement_log_likelihoods(cfg, layout, meas, grid.cells):
+        log_l[i] = row
     return normalize_rows(log_l, grid.cell_volume)
 
 
@@ -490,9 +499,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
         # agents weight by their fused field, the reference by the exact
         # likelihoods of every measurement
         likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
-        likelihoods.append(
-            lambda points: _measurement_log_likelihoods(cfg, layout, meas, points).sum(axis=0)
-        )
+        likelihoods.append(partial(_joint_log_likelihood, cfg, layout, meas))
         for b, log_likelihood in enumerate(likelihoods):
             w = _bank_step(particles[b], log_w[b], log_likelihood, f, chol, rngs[b], rough, scratch)
             means[b] = particles[b] @ w
@@ -522,7 +529,12 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
 
 
 def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
-    """Information-filter tracking run with linear position sensors."""
+    """Information-filter tracking run with linear position sensors.
+
+    The agents step as one stack of information pairs: each tick is one
+    batched predict, one measurement fill for the sensing rows, one consensus
+    mix and one batched update.
+    """
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     n = cfg.n_agents
@@ -536,58 +548,33 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     model = LinearModel(f=f, q=q, h=h, r=r)
 
     prior_rng = named_stream(cfg.seed, "prior")
-    p0 = np.diag(
-        [
-            cfg.prior_pos_sigma**2,
-            cfg.prior_vel_sigma**2,
-            cfg.prior_pos_sigma**2,
-            cfg.prior_vel_sigma**2,
-        ]
-    )
+    p0 = np.diag([cfg.prior_pos_sigma**2, cfg.prior_vel_sigma**2] * 2)
     x0_hat = truth_m[0] + np.sqrt(np.diag(p0)) * prior_rng.standard_normal(4)
-    states = [InfoState.from_moments(x0_hat, p0) for _ in range(n)]
     central = InfoState.from_moments(x0_hat, p0)
+    states = InfoState(z=np.tile(central.z, (n, 1)), Z=np.tile(central.Z, (n, 1, 1)))
     sqrt_r = math.sqrt(cfg.r_linear)
 
-    rows: list = []
+    truth_used = truth_m[cfg.stride * np.arange(1, cfg.steps + 1)]
     estimates = np.empty((cfg.steps, n, 2))
-    truth_used = np.empty((cfg.steps, 4))
     sq_err = np.empty((cfg.steps, n))
     c_sq_err = np.empty(cfg.steps)
-
+    rows = []
     for k in range(1, cfg.steps + 1):
         t_idx = k * cfg.stride
-        truth_row = truth_m[t_idx]
-        truth_used[k - 1] = truth_row
-        ys: list = []
-        for i in range(n):
-            if i < n_sensing:
-                ys.append(h_pos @ truth_row + sqrt_r * noise_m[t_idx, i])
-            else:
-                ys.append(None)
-
-        preds = [info_predict(s, model) for s in states]
-        infos = [info_measurement(ys[i], model, i) for i in range(n)]
-        new_states = []
-        for i in range(n):
-            received = [
-                (states[j].u, states[j].U, float(a[i, j]))
-                for j in range(n)
-                if a[i, j] > 0.0
-            ] if k > 1 else []
-            fused = info_fuse(preds[i], infos[i][0], infos[i][1], received, k, n)
-            x_hat, p, post = info_update(fused)
-            new_states.append(post)
-            estimates[k - 1, i] = x_hat[[0, 2]]
-            sq_err[k - 1, i] = float(((x_hat[[0, 2]] - truth_row[[0, 2]]) ** 2).sum())
-            rows.append((k, i, "sq_err", sq_err[k - 1, i]))
-            rows.append((k, i, "trace_p", float(np.trace(p))))
-        states = new_states
-
+        truth_xy = truth_m[t_idx, [0, 2]]
+        ys = truth_xy + sqrt_r * noise_m[t_idx, :n_sensing]
+        i_new, big_i_new = np.zeros((n, 4)), np.zeros((n, 4, 4))
+        i_new[:n_sensing], big_i_new[:n_sensing] = info_measurement(ys, model, np.arange(n_sensing))
+        fused = info_fuse(info_predict(states, model), i_new, big_i_new, a, k, n)
+        x_hat, p, states = info_update(fused)
+        estimates[k - 1] = x_hat[:, ::2]
+        sq_err[k - 1] = ((estimates[k - 1] - truth_xy) ** 2).sum(axis=1)
+        tr = np.trace(p, axis1=1, axis2=2).tolist()
+        for i, e in enumerate(sq_err[k - 1].tolist()):
+            rows += ((k, i, "sq_err", e), (k, i, "trace_p", tr[i]))
         c_x, c_p, central = centralized_info_step(central, model, ys)
-        c_sq_err[k - 1] = float(((c_x[[0, 2]] - truth_row[[0, 2]]) ** 2).sum())
-        rows.append((k, -1, "sq_err", c_sq_err[k - 1]))
-        rows.append((k, -1, "trace_p", float(np.trace(c_p))))
+        c_sq_err[k - 1] = ((c_x[::2] - truth_xy) ** 2).sum()
+        rows += ((k, -1, "sq_err", float(c_sq_err[k - 1])), (k, -1, "trace_p", float(np.trace(c_p))))
 
     steady = slice(int(math.floor(0.75 * cfg.steps)), cfg.steps)
     mse = float(sq_err[steady].mean())

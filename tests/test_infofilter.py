@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbfnet.density import DensityGrid, StateGrid
 from dbfnet.engine import SensorModel, TargetModel, predict as grid_predict, normalized_likelihood
@@ -20,6 +23,7 @@ from dbfnet.infofilter import (
     info_update,
 )
 from dbfnet.pools import bayes_update
+from dbfnet.topology import metropolis_weights, random_connected_graph
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -361,3 +365,165 @@ def test_grid_and_information_forms_agree_in_one_dimension():
         )
         assert abs(mean - x_hat[0]) <= 1e-3
         assert abs(var - p[0, 0]) <= 1e-3
+
+
+# ------------------------------------------------------------- stacked tick
+
+
+def test_model_caches_constant_information():
+    rng = np.random.default_rng(73)
+    f = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    q = random_spd(rng, 3)
+    h = rng.standard_normal((2, 3))
+    r = random_spd(rng, 2)
+    m = LinearModel(f=f, q=q, h=(h, None), r=(r, None))
+    np.testing.assert_array_equal(m.f_inv, np.linalg.inv(f))
+    np.testing.assert_allclose(m.q_inv @ q, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(m.hr[0], h.T @ np.linalg.inv(r), atol=1e-12)
+    np.testing.assert_allclose(m.hrh[0], h.T @ np.linalg.inv(r) @ h, atol=1e-12)
+    np.testing.assert_array_equal(m.hrh[0], m.hrh[0].T)
+    assert m.hr[1] is None and m.hrh[1] is None
+
+
+def _ref_sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _ref_spd_inverse(m):
+    inv = np.linalg.inv(np.linalg.cholesky(_ref_sym(m)))
+    return inv.T @ inv
+
+
+def reference_tick(agents, f, q, hs, rs, ys, a, k):
+    """The per-agent loop the stacked tick replaces, one agent at a time.
+
+    ``agents`` holds dicts of z, Z, u, U and the last measurement pair i, I;
+    agent i mixes the pairs of the agents j with a[i, j] > 0 in order.
+    """
+    n, dim = len(agents), f.shape[0]
+    f_inv, q_inv = np.linalg.inv(f), _ref_spd_inverse(q)
+    out, estimates = [], []
+    for i, s in enumerate(agents):
+        big_m = _ref_sym(f_inv.T @ s["Z"] @ f_inv)
+        shrink = np.eye(dim) - np.linalg.solve(big_m + q_inv, big_m.T).T
+        z, z_mat = shrink @ (f_inv.T @ s["z"]), _ref_sym(shrink @ big_m)
+        if hs[i] is None:
+            iv, im = np.zeros(dim), np.zeros((dim, dim))
+        else:
+            hr = hs[i].T @ _ref_spd_inverse(rs[i])
+            iv, im = hr @ ys[i], _ref_sym(hr @ hs[i])
+        if k == 1:
+            u, big_u = iv, im
+        else:
+            nbrs = [j for j in range(n) if a[i, j] > 0.0]
+            u = iv + (sum(a[i, j] * agents[j]["u"] for j in nbrs) - s["i"])
+            big_u = im + (sum(a[i, j] * agents[j]["U"] for j in nbrs) - s["I"])
+        z_post, z_mat_post = z + n * u, _ref_sym(z_mat + n * big_u)
+        estimates.append(_ref_spd_inverse(z_mat_post) @ z_post)
+        out.append({"z": z_post, "Z": z_mat_post, "u": u, "U": big_u, "i": iv, "I": im})
+    return out, np.array(estimates)
+
+
+def stacked_tick(states, model, ys, sensing, a, k):
+    """One benchmark-2 tick on a stack: predict, fill the sensing rows, mix, update."""
+    n, dim = a.shape[0], model.dim
+    i_new, big_i_new = np.zeros((n, dim)), np.zeros((n, dim, dim))
+    if sensing.size:
+        i_new[sensing], big_i_new[sensing] = info_measurement(ys[sensing], model, sensing)
+    return info_update(info_fuse(info_predict(states, model), i_new, big_i_new, a, k, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    ticks=st.integers(1, 4),
+    metropolis=st.booleans(),
+)
+def test_stacked_tick_matches_per_agent_reference(n, dim, seed, ticks, metropolis):
+    rng = np.random.default_rng(seed)
+    obs = int(rng.integers(1, dim + 1))
+    f_half = rng.standard_normal((dim, dim))
+    f = 0.5 * np.eye(dim) + f_half @ f_half.T / np.linalg.norm(f_half @ f_half.T, 2)
+    q = random_spd(rng, dim, scale=0.3)
+    has_sensor = rng.random(n) < 0.6
+    hs = tuple(rng.standard_normal((obs, dim)) if s else None for s in has_sensor)
+    rs = tuple(random_spd(rng, obs) if s else None for s in has_sensor)
+    model = LinearModel(f=f, q=q, h=hs, r=rs)
+    sensing = np.flatnonzero(has_sensor)
+    if metropolis:
+        a = metropolis_weights(random_connected_graph(n, rng)).values
+    else:
+        # row stochastic but not symmetric, so a transposed mix shows
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.7) + np.eye(n)
+        a /= a.sum(axis=1, keepdims=True)
+    prior = InfoState.from_moments(rng.standard_normal(dim), random_spd(rng, dim))
+
+    states = InfoState(z=np.tile(prior.z, (n, 1)), Z=np.tile(prior.Z, (n, 1, 1)))
+    ref = [{"z": prior.z, "Z": prior.Z} for _ in range(n)]
+    for k in range(1, ticks + 1):
+        ys = rng.standard_normal((n, obs))
+        x_hat, _, states = stacked_tick(states, model, ys, sensing, a, k)
+        ref, ref_x = reference_tick(ref, f, q, hs, rs, ys, a, k)
+        np.testing.assert_allclose(x_hat, ref_x, atol=1e-10, rtol=0)
+        for field, key in (("z", "z"), ("Z", "Z"), ("u", "u"), ("U", "U")):
+            want = np.stack([r[key] for r in ref])
+            np.testing.assert_allclose(getattr(states, field), want, atol=1e-10, rtol=0)
+
+
+def test_stacked_lone_agent_is_bitwise_centralized():
+    rng = np.random.default_rng(79)
+    dim = 3
+    model = LinearModel(
+        f=rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim),
+        q=random_spd(rng, dim, scale=0.3),
+        h=(rng.standard_normal((2, dim)),),
+        r=(random_spd(rng, 2),),
+    )
+    central = InfoState.from_moments(rng.standard_normal(dim), random_spd(rng, dim))
+    stack = InfoState(z=central.z[None], Z=central.Z[None])
+    for k in range(1, 9):
+        y = rng.standard_normal(2)
+        x_s, p_s, stack = stacked_tick(stack, model, y[None], np.array([0]), np.eye(1), k)
+        x_c, p_c, central = centralized_info_step(central, model, [y])
+        np.testing.assert_array_equal(x_s[0], x_c)
+        np.testing.assert_array_equal(p_s[0], p_c)
+        np.testing.assert_array_equal(stack.z[0], central.z)
+        np.testing.assert_array_equal(stack.Z[0], central.Z)
+
+
+def _stack(n, dim=2):
+    s = InfoState.from_moments(np.zeros(dim), np.eye(dim))
+    return InfoState(z=np.tile(s.z, (n, 1)), Z=np.tile(s.Z, (n, 1, 1)))
+
+
+def test_stacked_errors():
+    n, dim = 4, 2
+    a = np.full((n, n), 1.0 / n)
+    pairs = np.ones((n, dim)), np.tile(np.eye(dim), (n, 1, 1))
+    s = info_fuse(_stack(n), *pairs, a, 1, n)
+    bad = a.copy()
+    bad[2, 3] += 0.1
+    with pytest.raises(WeightRowInvalid):
+        info_fuse(s, *pairs, bad, 2, n)
+    bad = a.copy()
+    bad[1, 0], bad[1, 1] = -0.25, 0.75
+    with pytest.raises(WeightRowInvalid):
+        info_fuse(s, *pairs, bad, 2, n)
+
+    z_mat = s.Z.copy()
+    z_mat[2] = -10.0 * np.eye(dim)
+    with pytest.raises(SingularPosterior, match="agent row 2"):
+        info_update(replace(s, Z=z_mat))
+
+    model = LinearModel(f=np.eye(dim), q=np.eye(dim), h=(None,) * n, r=(None,) * n)
+    z_mat = s.Z.copy()
+    z_mat[1] = -np.eye(dim)
+    with pytest.raises(SingularSum, match="agent row 1"):
+        info_predict(replace(s, Z=z_mat), model)
+
+    with pytest.raises(ValueError):
+        InfoState(z=np.zeros((n, dim)), Z=np.zeros((n, dim + 1, dim + 1)))
+    with pytest.raises(ValueError):
+        replace(s, u=None)

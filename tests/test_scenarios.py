@@ -10,7 +10,9 @@ from dbfnet.scenarios import (
     FormationConfig,
     MultiloopConfig,
     _bank_step,
+    _joint_log_likelihood,
     _observed_kappa,
+    _scenario1_measurements,
     apf_term,
     bearing,
     benchmark_layout,
@@ -238,6 +240,25 @@ def test_bank_step_collapse_resamples_in_place():
     propagated = f @ before + chol @ np.random.default_rng(2).standard_normal(bank.shape)
     spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
     assert np.all(spread < 8.0 * rough)
+
+
+def test_joint_log_likelihood_is_the_agent_order_row_sum():
+    # the centralized reference's increment must keep the bits of the sum over
+    # a full (n_agents, points) array whose sensor-less rows are zero
+    cfg = tiny_benchmark(n_agents=6, n_toa=2, n_doa=2)
+    layout = benchmark_layout(cfg)
+    truth, noise = master_trajectory(cfg)
+    meas = _scenario1_measurements(cfg, layout, truth[5], noise[5])
+    points = np.random.default_rng(11).uniform(-50.0, 150.0, (500, 2))
+    full = np.zeros((cfg.n_agents, len(points)))
+    for i, (kind, y) in meas.items():
+        if kind == "toa":
+            full[i] = toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
+        else:
+            full[i] = doa_log_likelihood(
+                points, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
+            )
+    np.testing.assert_array_equal(_joint_log_likelihood(cfg, layout, meas, points), full.sum(axis=0))
 
 
 def test_scenario1_deterministic():
