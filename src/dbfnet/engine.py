@@ -32,6 +32,8 @@ from .pools import joint_likelihood
 
 _KERNEL_TOL = 1e-6
 _ROW_TOL = 1e-9
+# 50*50*64 < 262,144, OpenBLAS's gemm threading threshold; power-of-two widths keep a @ U's bits
+_MIX_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -392,12 +394,17 @@ def consensus_update(
     """Stacked fusion for all agents at once; rows are per-agent log fields.
 
     Equivalent to per-agent ``fuse`` followed by normalization and flooring,
-    but runs as one matrix product. Pass ``log_l_prev=None`` for tick 1.
+    but runs as one mix ``a @ U``, in column blocks small enough that BLAS
+    runs each on the calling thread for up to 50 agents. Pass
+    ``log_l_prev=None`` for tick 1.
     """
     if log_l_prev is None:
         raw = log_l.copy()
     else:
-        raw = a @ log_u_prev
+        raw = np.empty((a.shape[0], log_u_prev.shape[1]))
+        for c in range(0, raw.shape[1], _MIX_COLUMNS):
+            block = slice(c, c + _MIX_COLUMNS)
+            np.matmul(a, log_u_prev[:, block], out=raw[:, block])
         raw += log_l - log_l_prev
     normalize_rows(raw, cell_volume)
     return normalize_rows(raw, cell_volume)

@@ -16,6 +16,9 @@ truth and the same measurement noise at shared instants.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
@@ -32,7 +35,7 @@ from .density import (
     systematic_indices,
 )
 from .engine import consensus_update, move_fusion_state, power_rows
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DbfError
 from .infofilter import (
     InfoState,
     LinearModel,
@@ -377,6 +380,7 @@ def _bank_step(
     rng: np.random.Generator,
     rough: np.ndarray,
     scratch: np.ndarray,
+    index: int,
 ) -> np.ndarray:
     """One particle filter tick, in place on a (4, P) bank.
 
@@ -385,7 +389,9 @@ def _bank_step(
     size falls below half the bank does a systematic resample with a
     roughening jitter. ``log_w`` is updated in place and the normalized
     weights are returned. ``scratch`` is a (2, 4, P) buffer, so that a tick
-    allocates no bank-sized temporaries.
+    allocates no bank-sized temporaries. Weights with no finite mass (a NaN
+    or +inf increment, or every particle at -inf) raise ``DbfError`` naming
+    the bank ``index``.
     """
     count = bank.shape[1]
     noise, moved = scratch
@@ -397,6 +403,8 @@ def _bank_step(
     log_w -= log_w.max()
     w = np.exp(log_w)
     mass = w.sum()
+    if not math.isfinite(mass):
+        raise DbfError(f"particle bank {index} has weight mass {mass}")
     w /= mass
     log_w -= np.log(mass)
     if 1.0 / (w @ w) < 0.5 * count:
@@ -408,6 +416,49 @@ def _bank_step(
         w[:] = 1.0 / count
         log_w[:] = 0.0
     return w
+
+
+def _step_banks(
+    particles: np.ndarray,
+    log_w: np.ndarray,
+    means: np.ndarray,
+    likelihoods: list,
+    f: np.ndarray,
+    chol: np.ndarray,
+    rngs: list,
+    rough: np.ndarray,
+    scratch: np.ndarray,
+    pool: ThreadPoolExecutor | None,
+) -> None:
+    """``_bank_step`` every bank and store its weighted mean in ``means``.
+
+    Bank b runs on worker b mod W with that worker's (2, 4, P) slice of the
+    (W, 2, 4, P) ``scratch``. Worker 0 is the calling thread and the others
+    run on ``pool``, or after worker 0 when ``pool`` is None. Each bank has
+    its own stream, rows and scratch, so the results do not depend on the
+    split, and numpy releases the GIL in the bank-sized calls.
+    """
+    workers = len(scratch)
+
+    def share(worker: int) -> None:
+        for b in range(worker, len(likelihoods), workers):
+            w = _bank_step(
+                particles[b], log_w[b], likelihoods[b], f, chol, rngs[b], rough, scratch[worker], b
+            )
+            means[b] = particles[b] @ w
+
+    if pool is None:
+        for worker in range(workers):
+            share(worker)
+        return
+    others = [pool.submit(share, worker) for worker in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        # never leave a share writing into the banks after this returns
+        wait(others)
+    for job in others:
+        job.result()
 
 
 def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
@@ -440,7 +491,9 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     particles = np.stack([_init_particles(cfg, x0, rng).T for rng in rngs])
     log_w = np.zeros((n + 1, cfg.particles))
     means = particles.mean(axis=2)
-    scratch = np.empty((2,) + particles.shape[1:])
+    # the banks are stepped by the calling thread plus at most one pool thread
+    workers = min(2, len(os.sched_getaffinity(0)))
+    scratch = np.empty((workers, 2) + particles.shape[1:])
 
     rough_pos = 0.25 * float(grid.widths.min())
     rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
@@ -459,59 +512,58 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     sq_err = np.empty((cfg.steps, n))
     c_sq_err = np.empty(cfg.steps)
 
-    for k in range(1, cfg.steps + 1):
-        t_idx = k * cfg.stride
-        truth_row = truth_m[t_idx]
-        truth_used[k - 1] = truth_row
-        meas = _scenario1_measurements(cfg, layout, truth_row, noise_m[t_idx])
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for k in range(1, cfg.steps + 1):
+            t_idx = k * cfg.stride
+            truth_row = truth_m[t_idx]
+            truth_used[k - 1] = truth_row
+            meas = _scenario1_measurements(cfg, layout, truth_row, noise_m[t_idx])
 
-        # re-centre the window, in whole cells, on the network mean of the
-        # agents' predicted means
-        frame = (f @ means[:n].mean(axis=0))[::2]
-        new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
-        if offset is None or (new_offset != offset).any():
-            grid = cfg.position_grid(tuple(new_offset))
-            if log_l_prev is not None:
-                moved = _scenario1_log_likelihoods(cfg, layout, meas_prev, grid)
-                shift = new_offset - offset
-                log_u = move_fusion_state(log_u, log_l_prev, moved, shift, grid.points)
-                log_l_prev = moved
-            offset = new_offset
+            # re-centre the window, in whole cells, on the network mean of the
+            # agents' predicted means
+            frame = (f @ means[:n].mean(axis=0))[::2]
+            new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
+            if offset is None or (new_offset != offset).any():
+                grid = cfg.position_grid(tuple(new_offset))
+                if log_l_prev is not None:
+                    moved = _scenario1_log_likelihoods(cfg, layout, meas_prev, grid)
+                    shift = new_offset - offset
+                    log_u = move_fusion_state(log_u, log_l_prev, moved, shift, grid.points)
+                    log_l_prev = moved
+                offset = new_offset
 
-        log_l = _scenario1_log_likelihoods(cfg, layout, meas, grid)
+            log_l = _scenario1_log_likelihoods(cfg, layout, meas, grid)
 
-        # restart the fusion chains on a fixed wall-clock cadence: the
-        # difference-driven recursion cannot shed an error component shared
-        # by every agent, so accumulated drift is purged periodically while
-        # the particle filters carry the posterior across each restart
-        if cfg.reset_ticks and (k - 1) % cfg.reset_ticks == 0:
-            log_l_prev = None
-        log_u = consensus_update(log_u, log_l, log_l_prev, a, vol)
-        log_t = power_rows(log_u, n, vol)
-        log_l_prev = log_l
-        meas_prev = meas
+            # restart the fusion chains on a fixed wall-clock cadence: the
+            # difference-driven recursion cannot shed an error component shared
+            # by every agent, so accumulated drift is purged periodically while
+            # the particle filters carry the posterior across each restart
+            if cfg.reset_ticks and (k - 1) % cfg.reset_ticks == 0:
+                log_l_prev = None
+            log_u = consensus_update(log_u, log_l, log_l_prev, a, vol)
+            log_t = power_rows(log_u, n, vol)
+            log_l_prev = log_l
+            meas_prev = meas
 
-        log_joint = normalize_rows(log_l.sum(axis=0), vol)
-        l1 = l1_rows(log_t, log_joint, vol)
-        max_l1[k - 1] = l1.max()
+            log_joint = normalize_rows(log_l.sum(axis=0), vol)
+            l1 = l1_rows(log_t, log_joint, vol)
+            max_l1[k - 1] = l1.max()
 
-        # particle filters, one bank at a time so that its arrays stay in cache:
-        # agents weight by their fused field, the reference by the exact
-        # likelihoods of every measurement
-        likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
-        likelihoods.append(partial(_joint_log_likelihood, cfg, layout, meas))
-        for b, log_likelihood in enumerate(likelihoods):
-            w = _bank_step(particles[b], log_w[b], log_likelihood, f, chol, rngs[b], rough, scratch)
-            means[b] = particles[b] @ w
-        est = means[:n, ::2]
-        estimates[k - 1] = est
-        sq_err[k - 1] = ((est - truth_row[[0, 2]]) ** 2).sum(axis=1)
-        c_sq_err[k - 1] = float(((means[n, ::2] - truth_row[[0, 2]]) ** 2).sum())
+            # particle filters, one bank at a time per worker so that its
+            # arrays stay in cache: agents weight by their fused field, the
+            # reference by the exact likelihoods of every measurement
+            likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
+            likelihoods.append(partial(_joint_log_likelihood, cfg, layout, meas))
+            _step_banks(particles, log_w, means, likelihoods, f, chol, rngs, rough, scratch, pool)
+            est = means[:n, ::2]
+            estimates[k - 1] = est
+            sq_err[k - 1] = ((est - truth_row[[0, 2]]) ** 2).sum(axis=1)
+            c_sq_err[k - 1] = float(((means[n, ::2] - truth_row[[0, 2]]) ** 2).sum())
 
-        for i in range(n):
-            rows.append((k, i, "sq_err", float(sq_err[k - 1, i])))
-            rows.append((k, i, "l1_to_joint", float(l1[i])))
-        rows.append((k, -1, "sq_err", c_sq_err[k - 1]))
+            for i in range(n):
+                rows.append((k, i, "sq_err", float(sq_err[k - 1, i])))
+                rows.append((k, i, "l1_to_joint", float(l1[i])))
+            rows.append((k, -1, "sq_err", c_sq_err[k - 1]))
 
     steady = slice(int(math.floor(0.75 * cfg.steps)), cfg.steps)
     summary = {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbfnet.density import DensityGrid, StateGrid, l1_distance
+from dbfnet.density import DensityGrid, StateGrid, l1_distance, normalize_rows
 from dbfnet.engine import (
     AgentState,
     ChannelNoise,
@@ -551,6 +551,24 @@ def test_consensus_update_first_tick_normalizes_likelihoods():
     for i in range(2):
         expected = DensityGrid.from_log(g, raw[i])
         np.testing.assert_allclose(out[i], expected.log_values, atol=1e-12)
+
+
+@pytest.mark.parametrize("cells", [48, 100, 4096])
+def test_consensus_update_blocked_mix_matches_one_product(cells):
+    # the mix runs in column blocks; cell counts below one block, with a
+    # partial last block and of benchmark 1's 64 x 64 grid
+    n, vol = 50, 0.5
+    rng = np.random.default_rng(cells)
+    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2) + np.eye(n)
+    a /= a.sum(axis=1, keepdims=True)
+    u_prev, l_cur, l_prev = (
+        normalize_rows(rng.normal(0.0, 1.0, (n, cells)).cumsum(axis=1), vol) for _ in range(3)
+    )
+    expected = a @ u_prev
+    expected += l_cur - l_prev
+    normalize_rows(expected, vol)
+    normalize_rows(expected, vol)
+    np.testing.assert_allclose(consensus_update(u_prev, l_cur, l_prev, a, vol), expected, rtol=1e-13)
 
 
 def test_power_rows_matches_power_estimate():

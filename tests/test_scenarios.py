@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dbfnet import scenarios
 from dbfnet.density import StateGrid
-from dbfnet.errors import ConfigInvalid
+from dbfnet.errors import ConfigInvalid, DbfError
 from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
@@ -13,6 +17,7 @@ from dbfnet.scenarios import (
     _joint_log_likelihood,
     _observed_kappa,
     _scenario1_measurements,
+    _step_banks,
     apf_term,
     bearing,
     benchmark_layout,
@@ -210,7 +215,7 @@ def test_bank_step_flat_increment_keeps_uniform_weights():
     bank, log_w, f, chol, rough, scratch = _bank_inputs()
     expected = f @ bank + chol @ np.random.default_rng(9).standard_normal(bank.shape)
     rng = np.random.default_rng(9)
-    w = _bank_step(bank, log_w, lambda points: np.zeros(len(points)), f, chol, rng, rough, scratch)
+    w = _bank_step(bank, log_w, _flat, f, chol, rng, rough, scratch, 0)
     np.testing.assert_allclose(w, 1.0 / bank.shape[1], rtol=1e-12)
     # normalized in place, not reset: a resample would leave 0
     np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
@@ -221,17 +226,21 @@ def test_bank_step_flat_increment_keeps_uniform_weights():
     assert rng.uniform() == rest.uniform()
 
 
+def _flat(points):
+    return np.zeros(len(points))
+
+
+def _collapse(points):
+    inc = np.full(len(points), -1e3)
+    inc[7] = 0.0
+    return inc
+
+
 def test_bank_step_collapse_resamples_in_place():
     bank, log_w, f, chol, rough, scratch = _bank_inputs()
     count = bank.shape[1]
     before = bank.copy()
-
-    def collapse(points):
-        inc = np.full(len(points), -1e3)
-        inc[7] = 0.0
-        return inc
-
-    w = _bank_step(bank, log_w, collapse, f, chol, np.random.default_rng(2), rough, scratch)
+    w = _bank_step(bank, log_w, _collapse, f, chol, np.random.default_rng(2), rough, scratch, 0)
     assert not np.array_equal(bank, before)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(w, 1.0 / count)
@@ -240,6 +249,86 @@ def test_bank_step_collapse_resamples_in_place():
     propagated = f @ before + chol @ np.random.default_rng(2).standard_normal(bank.shape)
     spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
     assert np.all(spread < 8.0 * rough)
+
+
+@pytest.mark.parametrize(
+    "value, everywhere", [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)]
+)
+def test_bank_step_non_finite_weights_raise(value, everywhere):
+    bank, log_w, f, chol, rough, scratch = _bank_inputs()
+
+    def increment(points):
+        inc = np.zeros(len(points))
+        inc[slice(None) if everywhere else 7] = value
+        return inc
+
+    with np.errstate(invalid="ignore"), pytest.raises(DbfError, match="particle bank 3 "):
+        _bank_step(bank, log_w, increment, f, chol, np.random.default_rng(1), rough, scratch, 3)
+
+
+def _step_banks_run(pool, workers=2, fail=None):
+    """Step 12 banks four ticks; banks 1, 2, 5, 6, 9 and 10 resample, the others do not."""
+    banks, count = 12, 2000
+    particles = np.random.default_rng(13).standard_normal((banks, 4, count))
+    log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (banks, count))
+    means = np.zeros((banks, 4))
+    f, q = target_dynamics_cv(0.1)
+    chol = np.linalg.cholesky(q)
+    rough = np.array([0.5, 0.1, 0.5, 0.1])
+    rngs = [np.random.default_rng(100 + b) for b in range(banks)]
+    likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(banks)]
+    if fail is not None:
+        likelihoods[1] = fail
+    scratch = np.empty((workers, 2, 4, count))
+    for _ in range(4):
+        _step_banks(particles, log_w, means, likelihoods, f, chol, rngs, rough, scratch, pool)
+    return particles, log_w, means
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_step_banks_pool_is_bit_equal_to_serial(workers):
+    # three workers are more threads than a 2-core box has cores, and a short
+    # switch interval makes them interleave often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            pooled = _step_banks_run(pool, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for serial in (_step_banks_run(None, workers), _step_banks_run(None, workers=1)):
+        for got, want in zip(pooled, serial):
+            np.testing.assert_array_equal(got, want)
+    _, log_w, means = pooled
+    assert [bool((row == 0.0).all()) for row in log_w] == [b % 4 in (1, 2) for b in range(12)]
+    assert np.isfinite(means).all()
+
+
+def test_step_banks_pool_error_reaches_caller():
+    threads = []
+
+    def fail(points):
+        threads.append(threading.get_ident())
+        raise RuntimeError("increment failed")
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(RuntimeError, match="increment failed"):
+            _step_banks_run(pool, fail=fail)
+    assert threads and threads[0] != threading.get_ident()
+
+
+def test_scenario1_leaves_no_threads(monkeypatch):
+    # five agents put the centralized reference, bank 5, on the pool thread
+    cfg = tiny_benchmark(dt=0.5, duration=2.0, n_agents=5)
+    before = threading.active_count()
+    run_benchmark_scenario1(cfg)
+    assert threading.active_count() == before
+    monkeypatch.setattr(
+        scenarios, "_joint_log_likelihood", lambda cfg, layout, meas, points: np.full(len(points), np.nan)
+    )
+    with pytest.raises(DbfError, match="particle bank 5 "):
+        run_benchmark_scenario1(cfg)
+    assert threading.active_count() == before
 
 
 def test_joint_log_likelihood_is_the_agent_order_row_sum():
