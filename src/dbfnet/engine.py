@@ -393,25 +393,28 @@ def consensus_update(
 ) -> np.ndarray:
     """Stacked fusion for all agents at once; rows are per-agent log fields.
 
-    Equivalent to per-agent ``fuse`` followed by normalization and flooring,
-    but runs as one mix ``a @ U``, in column blocks small enough that BLAS
-    runs each on the calling thread for up to 50 agents. Pass
-    ``log_l_prev=None`` for tick 1.
+    Stacks are (n, ..., cells), one leading row per agent. Equivalent to
+    per-agent ``fuse`` on each field followed by normalization and flooring,
+    but runs as one mix ``a @ U`` on the (n, -1) view, in column blocks small
+    enough that BLAS runs each on the calling thread for up to 50 agents.
+    Pass ``log_l_prev=None`` for tick 1 or a restart.
     """
     if log_l_prev is None:
         raw = log_l.copy()
     else:
-        raw = np.empty((a.shape[0], log_u_prev.shape[1]))
-        for c in range(0, raw.shape[1], _MIX_COLUMNS):
+        raw = np.empty(log_l.shape)
+        flat = raw.reshape(len(raw), -1)
+        flat_u = log_u_prev.reshape(len(log_u_prev), -1)
+        for c in range(0, flat.shape[1], _MIX_COLUMNS):
             block = slice(c, c + _MIX_COLUMNS)
-            np.matmul(a, log_u_prev[:, block], out=raw[:, block])
+            np.matmul(a, flat_u[:, block], out=flat[:, block])
         raw += log_l - log_l_prev
     normalize_rows(raw, cell_volume)
     return normalize_rows(raw, cell_volume)
 
 
 def power_rows(log_u: np.ndarray, n_agents: int, cell_volume: float) -> np.ndarray:
-    """Stacked power estimate rows from stacked fusion rows."""
+    """Stacked power estimate fields from stacked fusion fields of any leading shape."""
     return normalize_rows(n_agents * log_u, cell_volume)
 
 

@@ -6,7 +6,10 @@ filter carrying each agent's Bayes recursion and one more bank, stepped the
 same way, carrying the centralized reference. Scenario 2 swaps the sensors
 for linear position sensors and runs the information-filter specialization.
 The formation task closes the loop: agents steer with artificial potentials
-acting on fused position estimates of one another.
+acting on fused position estimates of one another. Benchmark 1 and
+formation share one fusion kernel (``engine.consensus_update`` and
+``power_rows``) and one particle-bank step, run on the calling thread plus
+at most one pool thread; their outputs do not depend on the thread count.
 
 All scenarios replay one master trajectory generated at a fine reference
 interval, so runs at different sampling intervals see the same physical
@@ -18,17 +21,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import (
     DensityGrid,
-    LOG_FLOOR,
     StateGrid,
     l1_rows,
     normalize_rows,
@@ -55,15 +56,6 @@ from .topology import (
 )
 
 DT_MASTER = 0.01
-
-
-class MetricsRow(NamedTuple):
-    """One line of the metrics table; agent -1 marks the centralized baseline."""
-
-    tick: int
-    agent: int
-    metric: str
-    value: float
 
 
 def target_dynamics_cv(dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +188,8 @@ class BenchmarkConfig:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Per-tick per-agent metric rows plus run-level summary values."""
+    """Per-tick per-agent metric rows (tick, agent, metric, value; agent -1
+    marks the centralized baseline) plus run-level summary values."""
 
     rows: list
     summary: dict
@@ -301,11 +294,6 @@ def _init_particles(cfg: BenchmarkConfig, center: np.ndarray, rng: np.random.Gen
     return p
 
 
-def _ess(log_w: np.ndarray) -> float:
-    w = np.exp(log_w - logsumexp(log_w))
-    return 1.0 / float((w**2).sum())
-
-
 def _scenario1_measurements(
     cfg: BenchmarkConfig, layout: Layout, truth_row: np.ndarray, noise_row: np.ndarray
 ) -> dict:
@@ -371,35 +359,49 @@ def _scenario1_log_likelihoods(
     return normalize_rows(log_l, grid.cell_volume)
 
 
+def _linear_motion(f: np.ndarray, chol: np.ndarray, bank, noise, moved) -> None:
+    """Move a bank by x <- F x + chol w in place; ``moved`` is a spare buffer."""
+    np.matmul(f, bank, out=moved)
+    np.matmul(chol, noise, out=bank)
+    bank += moved
+
+
+def _drift_motion(drift: np.ndarray, sigma: float, half_width: float, bank, noise, moved) -> None:
+    """Move a bank by x <- x + drift + sigma w, clipped to +-half_width, in place."""
+    noise *= sigma
+    noise += drift[:, None]
+    bank += noise
+    np.clip(bank, -half_width, half_width, out=bank)
+
+
 def _bank_step(
     bank: np.ndarray,
     log_w: np.ndarray,
     log_likelihood: Callable[[np.ndarray], np.ndarray],
-    f: np.ndarray,
-    chol: np.ndarray,
+    motion: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    positions: slice,
     rng: np.random.Generator,
     rough: np.ndarray,
     scratch: np.ndarray,
     index: int,
 ) -> np.ndarray:
-    """One particle filter tick, in place on a (4, P) bank.
+    """One particle filter tick, in place on a (d, P) bank.
 
-    Propagates with process noise, adds ``log_likelihood`` of the (P, 2)
-    particle positions to the log weights, and when the effective sample
-    size falls below half the bank does a systematic resample with a
-    roughening jitter. ``log_w`` is updated in place and the normalized
-    weights are returned. ``scratch`` is a (2, 4, P) buffer, so that a tick
-    allocates no bank-sized temporaries. Weights with no finite mass (a NaN
-    or +inf increment, or every particle at -inf) raise ``DbfError`` naming
-    the bank ``index``.
+    Moves the bank with ``motion(bank, noise, moved)`` on standard normal
+    noise, adds ``log_likelihood`` of the (P, k) particle positions, the
+    bank's rows ``positions``, to the log weights, and when the effective
+    sample size falls below half the bank does a systematic resample with a
+    roughening jitter of scale ``rough`` per row. ``log_w`` is updated in
+    place and the normalized weights are returned. ``scratch`` is a (2, d, P)
+    buffer, ``noise`` and ``moved``, which the motion may overwrite, so that
+    a tick allocates no bank-sized temporaries. Weights with no finite mass
+    (a NaN or +inf increment, or every particle at -inf) raise ``DbfError``
+    naming the bank ``index``.
     """
     count = bank.shape[1]
     noise, moved = scratch
-    rng.standard_normal(out=noise)
-    np.matmul(f, bank, out=moved)
-    np.matmul(chol, noise, out=bank)
-    bank += moved
-    log_w += log_likelihood(bank[::2].T)
+    motion(bank, rng.standard_normal(out=noise), moved)
+    log_w += log_likelihood(bank[positions].T)
     log_w -= log_w.max()
     w = np.exp(log_w)
     mass = w.sum()
@@ -418,13 +420,22 @@ def _bank_step(
     return w
 
 
+@contextmanager
+def _bank_workers(bank_shape: tuple) -> Iterator[tuple[np.ndarray, ThreadPoolExecutor | None]]:
+    """``_step_banks``' scratch and pool: the calling thread plus at most one
+    pool thread, none when the process may use one CPU; the thread ends with the block."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        yield np.empty((workers, 2) + tuple(bank_shape)), pool
+
+
 def _step_banks(
     particles: np.ndarray,
     log_w: np.ndarray,
     means: np.ndarray,
     likelihoods: list,
-    f: np.ndarray,
-    chol: np.ndarray,
+    motions: list,
+    positions: slice,
     rngs: list,
     rough: np.ndarray,
     scratch: np.ndarray,
@@ -432,8 +443,8 @@ def _step_banks(
 ) -> None:
     """``_bank_step`` every bank and store its weighted mean in ``means``.
 
-    Bank b runs on worker b mod W with that worker's (2, 4, P) slice of the
-    (W, 2, 4, P) ``scratch``. Worker 0 is the calling thread and the others
+    Bank b runs on worker b mod W with that worker's (2, d, P) slice of the
+    (W, 2, d, P) ``scratch``. Worker 0 is the calling thread and the others
     run on ``pool``, or after worker 0 when ``pool`` is None. Each bank has
     its own stream, rows and scratch, so the results do not depend on the
     split, and numpy releases the GIL in the bank-sized calls.
@@ -442,10 +453,11 @@ def _step_banks(
 
     def share(worker: int) -> None:
         for b in range(worker, len(likelihoods), workers):
+            bank = particles[b]
             w = _bank_step(
-                particles[b], log_w[b], likelihoods[b], f, chol, rngs[b], rough, scratch[worker], b
+                bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch[worker], b
             )
-            means[b] = particles[b] @ w
+            means[b] = bank @ w
 
     if pool is None:
         for worker in range(workers):
@@ -481,19 +493,17 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     a = layout.adjacency.values
 
     f, q = target_dynamics_cv(cfg.dt)
-    chol = np.linalg.cholesky(q)
+    motions = [partial(_linear_motion, f, np.linalg.cholesky(q))] * (n + 1)
 
     # bank n is the centralized reference, weighted by every measurement
     rngs = [named_stream(cfg.seed, "pf", i) for i in range(n)]
     rngs.append(named_stream(cfg.seed, "pf-central"))
     x0 = truth_m[0]
-    # banks are component major, (bank, state, particle)
+    # banks are component major, (bank, state, particle); states are (x, vx, y, vy)
     particles = np.stack([_init_particles(cfg, x0, rng).T for rng in rngs])
+    positions = slice(None, None, 2)
     log_w = np.zeros((n + 1, cfg.particles))
     means = particles.mean(axis=2)
-    # the banks are stepped by the calling thread plus at most one pool thread
-    workers = min(2, len(os.sched_getaffinity(0)))
-    scratch = np.empty((workers, 2) + particles.shape[1:])
 
     rough_pos = 0.25 * float(grid.widths.min())
     rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
@@ -512,7 +522,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     sq_err = np.empty((cfg.steps, n))
     c_sq_err = np.empty(cfg.steps)
 
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+    with _bank_workers(particles.shape[1:]) as (scratch, pool):
         for k in range(1, cfg.steps + 1):
             t_idx = k * cfg.stride
             truth_row = truth_m[t_idx]
@@ -554,7 +564,9 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             # reference by the exact likelihoods of every measurement
             likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
             likelihoods.append(partial(_joint_log_likelihood, cfg, layout, meas))
-            _step_banks(particles, log_w, means, likelihoods, f, chol, rngs, rough, scratch, pool)
+            _step_banks(
+                particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch, pool
+            )
             est = means[:n, ::2]
             estimates[k - 1] = est
             sq_err[k - 1] = ((est - truth_row[[0, 2]]) ** 2).sum(axis=1)
@@ -672,6 +684,10 @@ class FormationConfig:
             raise ConfigInvalid("particles and ticks must be positive")
         if self.range_noise <= 0 or self.self_noise <= 0:
             raise ConfigInvalid("noise scales must be positive")
+        if self.process_noise < 0:
+            raise ConfigInvalid("process_noise must be nonnegative")
+        if self.control_cap <= 0:
+            raise ConfigInvalid("control_cap must be positive")
         if self.warmup < 0 or self.warmup >= self.ticks:
             raise ConfigInvalid("warmup must be shorter than the run")
         if self.consensus_reset < 1:
@@ -679,6 +695,8 @@ class FormationConfig:
         hw = self.n_agents if self.half_width is None else self.half_width
         if hw <= 0:
             raise ConfigInvalid("half_width must be positive")
+        if len(self.grid_cells) != 2 or any(c < 2 for c in self.grid_cells):
+            raise ConfigInvalid("grid_cells must give at least 2 cells per axis")
         object.__setattr__(self, "half_width", float(hw))
         object.__setattr__(self, "grid_cells", tuple(int(c) for c in self.grid_cells))
 
@@ -766,21 +784,20 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             break
 
     meas_rng = named_stream(cfg.seed, "formation-meas")
-    pf_rng = named_stream(cfg.seed, "formation-pf")
-    particles = init_rng.uniform(-hw, hw, (n, n, cfg.particles, 2))
-    log_w = np.zeros((n, n, cfg.particles))
-    est = np.zeros((n, n, 2))
-    for i in range(n):
-        for j in range(n):
-            est[i, j] = particles[i, j].mean(axis=0)
+    # bank i * n + j is agent i's filter of agent j, component major, (bank, axis, particle)
+    rngs = [named_stream(cfg.seed, "formation-pf", b) for b in range(n * n)]
+    particles = init_rng.uniform(-hw, hw, (n * n, 2, cfg.particles))
+    log_w = np.zeros((n * n, cfg.particles))
+    means = np.empty((n * n, 2))
+    est = means.reshape(n, n, 2)
 
-    log_u = np.zeros((n, n, grid.n_cells))
+    log_u = None
     log_l_prev = None
     prev_controls = np.zeros((n, 2))
     prev_neighbors: list[list[int]] | None = None
     # modest refresh jitter: interpolated scoring has no cell-boundary gaps
     # to cover, so the jitter only needs to restore cloud diversity
-    rough = 0.25 * float(grid.widths.min())
+    rough = np.full(2, 0.25 * float(grid.widths.min()))
     # the self density is inflated so that after the consensus power step it
     # still spans a couple of grid cells; a narrower peak aliases on the grid
     # and drops out whenever the fix jumps to the next cell
@@ -788,105 +805,84 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     anchor = None
 
     rows: list = []
-    self_err = np.empty((cfg.ticks, n))
+    with _bank_workers(particles.shape[1:]) as (scratch, pool):
+        for k in range(1, cfg.ticks + 1):
+            neighbors = _nearest_two(pos, prev_neighbors)
+            pairs = []
+            for i in range(n):
+                for j in neighbors[i]:
+                    pairs.append((i, j))
+            pairs = _bridge_components(n, pairs, pos)
+            graph = Digraph.undirected(n, pairs)
+            a = local_degree_weights(graph).values
 
-    for k in range(1, cfg.ticks + 1):
-        neighbors = _nearest_two(pos, prev_neighbors)
-        pairs = []
-        for i in range(n):
-            for j in neighbors[i]:
-                pairs.append((i, j))
-        pairs = _bridge_components(n, pairs, pos)
-        graph = Digraph.undirected(n, pairs)
-        a = local_degree_weights(graph).values
+            y_self = pos + cfg.self_noise * meas_rng.standard_normal((n, 2))
+            ranges = {}
+            for i in range(n):
+                for j in neighbors[i]:
+                    true_d = float(np.hypot(*(pos[j] - pos[i])))
+                    ranges[(i, j)] = true_d + cfg.range_noise * meas_rng.standard_normal()
 
-        y_self = pos + cfg.self_noise * meas_rng.standard_normal((n, 2))
-        ranges = {}
-        for i in range(n):
-            for j in neighbors[i]:
-                true_d = float(np.hypot(*(pos[j] - pos[i])))
-                ranges[(i, j)] = true_d + cfg.range_noise * meas_rng.standard_normal()
+            # the ring center is a plug-in nuisance parameter, so it uses a
+            # smoothed fix: raw fixes jump a full noise width between ticks and
+            # the jumps enter ring likelihoods with leverage 1/range_noise
+            if anchor is None:
+                anchor = y_self.copy()
+            else:
+                anchor += 0.25 * (y_self - anchor)
 
-        # the ring center is a plug-in nuisance parameter, so it uses a
-        # smoothed fix: raw fixes jump a full noise width between ticks and
-        # the jumps enter ring likelihoods with leverage 1/range_noise
-        if anchor is None:
-            anchor = y_self.copy()
-        else:
-            anchor += 0.25 * (y_self - anchor)
+            # rings join only once the self fixes have localized every bank and
+            # the assembly motion has slowed; rings fired into a still-moving
+            # swarm restart the fused densities faster than consensus can track
+            log_l = np.zeros((n, n, grid.n_cells))
+            for i in range(n):
+                for j in range(n):
+                    if j == i:
+                        diff = cells - y_self[i]
+                        log_l[i, j] = -0.5 * (diff**2).sum(axis=1) / self_sigma**2
+                    elif k > cfg.warmup and j in neighbors[i]:
+                        log_l[i, j] = toa_log_likelihood(
+                            cells, anchor[i], ranges[(i, j)], cfg.range_noise
+                        )
+            normalize_rows(log_l, vol)
 
-        # rings join only once the self fixes have localized every bank and
-        # the assembly motion has slowed; rings fired into a still-moving
-        # swarm restart the fused densities faster than consensus can track
-        log_l = np.zeros((n, n, grid.n_cells))
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    diff = cells - y_self[i]
-                    log_l[i, j] = -0.5 * (diff**2).sum(axis=1) / self_sigma**2
-                elif k > cfg.warmup and j in neighbors[i]:
-                    log_l[i, j] = toa_log_likelihood(
-                        cells, anchor[i], ranges[(i, j)], cfg.range_noise
-                    )
-        log_l -= logsumexp(log_l, axis=2, keepdims=True) + np.log(vol)
-        np.maximum(log_l, LOG_FLOOR, out=log_l)
+            # the difference-driven recursion conserves any error field shared by
+            # all chains, so a disturbance that slips in uniformly would persist
+            # forever; restarting the chains on a short cadence purges it, while
+            # the particle clouds carry the posterior across each restart
+            if k % cfg.consensus_reset == 1 or cfg.consensus_reset == 1:
+                log_l_prev = None
+            log_u = consensus_update(log_u, log_l, log_l_prev, a, vol)
+            log_t = power_rows(log_u, n, vol)
+            log_l_prev = log_l
 
-        # the difference-driven recursion conserves any error field shared by
-        # all chains, so a disturbance that slips in uniformly would persist
-        # forever; restarting the chains on a short cadence purges it, while
-        # the particle clouds carry the posterior across each restart
-        if k % cfg.consensus_reset == 1 or cfg.consensus_reset == 1:
-            raw = log_l.copy()
-        else:
-            raw = np.tensordot(a, log_u, axes=([1], [0])) + (log_l - log_l_prev)
-        raw -= logsumexp(raw, axis=2, keepdims=True) + np.log(vol)
-        np.maximum(raw, LOG_FLOOR, out=raw)
-        log_u = raw
-        log_t = n * log_u
-        log_t -= logsumexp(log_t, axis=2, keepdims=True) + np.log(vol)
-        np.maximum(log_t, LOG_FLOOR, out=log_t)
-        log_l_prev = log_l
+            # predict each instance with the control its target presumably applied
+            applied = np.zeros((n, n, 2))
+            if k > 1:
+                for i in range(n):
+                    for j in range(n):
+                        applied[i, j] = (
+                            prev_controls[i]
+                            if j == i
+                            else _formation_control(est[i], j, prev_neighbors[j], cfg)
+                        )
+            motions = [
+                partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in applied.reshape(-1, 2)
+            ]
+            likelihoods = [partial(grid.log_interp, row) for row in log_t.reshape(n * n, -1)]
+            _step_banks(
+                particles, log_w, means, likelihoods, motions, slice(None), rngs, rough, scratch, pool
+            )
 
-        # predict each instance with the control its target presumably applied
-        for i in range(n):
-            for j in range(n):
-                if k == 1:
-                    drift = np.zeros(2)
-                elif j == i:
-                    drift = cfg.dt * prev_controls[i]
-                else:
-                    drift = cfg.dt * _formation_control(est[i], j, prev_neighbors[j], cfg)
-                particles[i, j] += drift + cfg.process_noise * pf_rng.standard_normal(
-                    (cfg.particles, 2)
-                )
-        np.clip(particles, -hw, hw, out=particles)
+            controls = np.empty((n, 2))
+            for i in range(n):
+                controls[i] = _formation_control(est[i], i, neighbors[i], cfg)
+            pos = np.clip(pos + cfg.dt * controls, -hw, hw)
+            prev_controls = controls
+            prev_neighbors = neighbors
 
-        for i in range(n):
-            for j in range(n):
-                log_w[i, j] += grid.log_interp(log_t[i, j], particles[i, j])
-        for i in range(n):
-            for j in range(n):
-                lw = log_w[i, j] - logsumexp(log_w[i, j])
-                log_w[i, j] = lw
-                if _ess(lw) < 0.5 * cfg.particles:
-                    w = np.exp(lw - lw.max())
-                    idx = systematic_indices(w, cfg.particles, pf_rng)
-                    particles[i, j] = particles[i, j][idx]
-                    particles[i, j] += rough * pf_rng.standard_normal((cfg.particles, 2))
-                    log_w[i, j] = np.zeros(cfg.particles)
-        w_all = np.exp(log_w - logsumexp(log_w, axis=2, keepdims=True))
-        est = np.einsum("ijp,ijpd->ijd", w_all, particles)
-
-        controls = np.empty((n, 2))
-        for i in range(n):
-            controls[i] = _formation_control(est[i], i, neighbors[i], cfg)
-        pos = np.clip(pos + cfg.dt * controls, -hw, hw)
-        prev_controls = controls
-        prev_neighbors = neighbors
-
-        for i in range(n):
-            self_err[k - 1, i] = float(((est[i, i] - pos[i]) ** 2).sum())
-            rows.append((k, i, "self_sq_err", self_err[k - 1, i]))
+            for i in range(n):
+                rows.append((k, i, "self_sq_err", float(((est[i, i] - pos[i]) ** 2).sum())))
 
     center = pos.mean(axis=0)
     angles = np.arctan2(pos[:, 1] - center[1], pos[:, 0] - center[0])

@@ -143,6 +143,14 @@ def test_run_rejects_invalid_scenario_values(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_rejects_invalid_formation_grid(tmp_path, capsys):
+    code = run_cli(
+        "run", "--scenario", "formation", "--set", "grid_cells=[64]", "--outdir", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "grid_cells" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- bounds
 
 

@@ -571,6 +571,26 @@ def test_consensus_update_blocked_mix_matches_one_product(cells):
     np.testing.assert_allclose(consensus_update(u_prev, l_cur, l_prev, a, vol), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("first_tick", [True, False])
+def test_stacked_fields_match_one_call_per_field(first_tick):
+    # an (n, m, cells) stack mixes on its (n, m * cells) view, whose column
+    # blocks straddle fields when cells is not a multiple of the block width
+    n, m, cells, vol = 5, 3, 100, 0.25
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.0, 1.0, (n, n)) + np.eye(n)
+    a /= a.sum(axis=1, keepdims=True)
+    u_prev, l_cur, l_prev = (
+        normalize_rows(rng.normal(0.0, 1.0, (n, m, cells)).cumsum(axis=-1), vol) for _ in range(3)
+    )
+    stacked = consensus_update(u_prev, l_cur, None if first_tick else l_prev, a, vol)
+    powered = power_rows(stacked, n, vol)
+    assert stacked.shape == powered.shape == (n, m, cells)
+    for f in range(m):
+        one = consensus_update(u_prev[:, f], l_cur[:, f], None if first_tick else l_prev[:, f], a, vol)
+        np.testing.assert_allclose(stacked[:, f], one, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(powered[:, f], power_rows(one, n, vol), rtol=1e-13, atol=0.0)
+
+
 def test_power_rows_matches_power_estimate():
     g = grid_1d(-4.0, 4.0, 24)
     rng = np.random.default_rng(23)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dbfnet.scenarios import (
     FormationConfig,
     MultiloopConfig,
     _bank_step,
+    _drift_motion,
     _joint_log_likelihood,
+    _linear_motion,
     _observed_kappa,
     _scenario1_measurements,
     _step_banks,
@@ -203,19 +206,38 @@ def test_scenario1_smoke_metrics():
     assert s["observed_kappa"] is None or s["observed_kappa"] >= 1
 
 
-def _bank_inputs(count=200, seed=5):
-    rng = np.random.default_rng(seed)
-    bank = rng.standard_normal((4, count))
+def _cv_bank(count=200, seed=5):
+    """A (4, P) constant-velocity bank with its motion, position rows,
+    roughening scales, and its move written out for given noise."""
+    bank = np.random.default_rng(seed).standard_normal((4, count))
     f, q = target_dynamics_cv(0.1)
+    chol = np.linalg.cholesky(q)
     rough = np.array([0.5, 0.1, 0.5, 0.1])
-    return bank, np.zeros(count), f, np.linalg.cholesky(q), rough, np.empty((2, 4, count))
+    motion = partial(_linear_motion, f, chol)
+    return bank, motion, slice(None, None, 2), rough, lambda w: f @ bank + chol @ w
 
 
-def test_bank_step_flat_increment_keeps_uniform_weights():
-    bank, log_w, f, chol, rough, scratch = _bank_inputs()
-    expected = f @ bank + chol @ np.random.default_rng(9).standard_normal(bank.shape)
+def _drift_bank(count=200, seed=5):
+    """A (2, P) drifting position bank, as formation steps, some of it pushed past the box edge."""
+    bank = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, count))
+    drift = np.array([0.3, -0.2])
+    motion = partial(_drift_motion, drift, 0.05, 2.0)
+    rough = np.full(2, 0.1)
+    move = lambda w: np.clip(bank + drift[:, None] + 0.05 * w, -2.0, 2.0)
+    return bank, motion, slice(None), rough, move
+
+
+def _bank_inputs(make_bank=_cv_bank, count=200):
+    bank, motion, positions, rough, move = make_bank(count)
+    return bank, np.zeros(count), motion, positions, rough, np.empty((2,) + bank.shape), move
+
+
+@pytest.mark.parametrize("make_bank", [_cv_bank, _drift_bank], ids=["cv", "drift"])
+def test_bank_step_flat_increment_keeps_uniform_weights(make_bank):
+    bank, log_w, motion, positions, rough, scratch, move = _bank_inputs(make_bank)
+    expected = move(np.random.default_rng(9).standard_normal(bank.shape))
     rng = np.random.default_rng(9)
-    w = _bank_step(bank, log_w, _flat, f, chol, rng, rough, scratch, 0)
+    w = _bank_step(bank, log_w, _flat, motion, positions, rng, rough, scratch, 0)
     np.testing.assert_allclose(w, 1.0 / bank.shape[1], rtol=1e-12)
     # normalized in place, not reset: a resample would leave 0
     np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
@@ -227,6 +249,7 @@ def test_bank_step_flat_increment_keeps_uniform_weights():
 
 
 def _flat(points):
+    assert points.shape[1] == 2
     return np.zeros(len(points))
 
 
@@ -237,25 +260,30 @@ def _collapse(points):
 
 
 def test_bank_step_collapse_resamples_in_place():
-    bank, log_w, f, chol, rough, scratch = _bank_inputs()
+    bank, log_w, motion, positions, rough, scratch, move = _bank_inputs()
     count = bank.shape[1]
+    propagated = move(np.random.default_rng(2).standard_normal(bank.shape))
     before = bank.copy()
-    w = _bank_step(bank, log_w, _collapse, f, chol, np.random.default_rng(2), rough, scratch, 0)
+    w = _bank_step(bank, log_w, _collapse, motion, positions, np.random.default_rng(2), rough, scratch, 0)
     assert not np.array_equal(bank, before)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(w, 1.0 / count)
     np.testing.assert_array_equal(log_w, 0.0)
     # every particle is a roughened copy of the one that carried the weight
-    propagated = f @ before + chol @ np.random.default_rng(2).standard_normal(bank.shape)
     spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
     assert np.all(spread < 8.0 * rough)
 
 
+_NON_FINITE = [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)]
+
+
 @pytest.mark.parametrize(
-    "value, everywhere", [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)]
+    "value, everywhere, make_bank",
+    [pytest.param(v, e, _cv_bank, id=f"{v}-{e}") for v, e in _NON_FINITE]
+    + [pytest.param(v, e, _drift_bank, id=f"{v}-{e}-drift") for v, e in _NON_FINITE],
 )
-def test_bank_step_non_finite_weights_raise(value, everywhere):
-    bank, log_w, f, chol, rough, scratch = _bank_inputs()
+def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
+    bank, log_w, motion, positions, rough, scratch, _ = _bank_inputs(make_bank)
 
     def increment(points):
         inc = np.zeros(len(points))
@@ -263,7 +291,7 @@ def test_bank_step_non_finite_weights_raise(value, everywhere):
         return inc
 
     with np.errstate(invalid="ignore"), pytest.raises(DbfError, match="particle bank 3 "):
-        _bank_step(bank, log_w, increment, f, chol, np.random.default_rng(1), rough, scratch, 3)
+        _bank_step(bank, log_w, increment, motion, positions, np.random.default_rng(1), rough, scratch, 3)
 
 
 def _step_banks_run(pool, workers=2, fail=None):
@@ -273,7 +301,7 @@ def _step_banks_run(pool, workers=2, fail=None):
     log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (banks, count))
     means = np.zeros((banks, 4))
     f, q = target_dynamics_cv(0.1)
-    chol = np.linalg.cholesky(q)
+    motions = [partial(_linear_motion, f, np.linalg.cholesky(q))] * banks
     rough = np.array([0.5, 0.1, 0.5, 0.1])
     rngs = [np.random.default_rng(100 + b) for b in range(banks)]
     likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(banks)]
@@ -281,7 +309,9 @@ def _step_banks_run(pool, workers=2, fail=None):
         likelihoods[1] = fail
     scratch = np.empty((workers, 2, 4, count))
     for _ in range(4):
-        _step_banks(particles, log_w, means, likelihoods, f, chol, rngs, rough, scratch, pool)
+        _step_banks(
+            particles, log_w, means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch, pool
+        )
     return particles, log_w, means
 
 
@@ -451,6 +481,15 @@ def test_formation_config_validation():
         FormationConfig(warmup=300)
     with pytest.raises(ConfigInvalid):
         FormationConfig(consensus_reset=0)
+    for cells in ((1, 1), (64,), (64, 64, 64), (64, 1)):
+        with pytest.raises(ConfigInvalid):
+            FormationConfig(grid_cells=cells)
+    with pytest.raises(ConfigInvalid):
+        FormationConfig(process_noise=-0.01)
+    for cap in (0.0, -1.0):
+        with pytest.raises(ConfigInvalid):
+            FormationConfig(control_cap=cap)
+    assert FormationConfig(process_noise=0.0).process_noise == 0.0
     cfg = FormationConfig(n_agents=4)
     assert cfg.half_width == 4.0
     assert cfg.position_grid().ndim == 2
@@ -485,12 +524,34 @@ def test_formation_smoke_run():
     assert len(res.rows) == 30 * 3
 
 
-def test_formation_deterministic():
+def test_formation_deterministic(monkeypatch):
     cfg = FormationConfig(seed=5, n_agents=3, particles=150, ticks=15, grid_cells=(32, 32))
     a = run_formation(cfg)
     b = run_formation(cfg)
-    assert a.summary == b.summary
-    assert a.rows == b.rows
+    # one usable CPU: every bank on the calling thread, no pool thread
+    monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0})
+    c = run_formation(cfg)
+    assert a.summary == b.summary == c.summary
+    assert a.rows == b.rows == c.rows
+
+
+def test_formation_leaves_no_threads(monkeypatch):
+    # four agents put bank 5, agent 1's filter of agent 1, on the pool thread
+    cfg = FormationConfig(seed=5, n_agents=4, particles=150, ticks=4, grid_cells=(32, 32))
+    before = threading.active_count()
+    run_formation(cfg)
+    assert threading.active_count() == before
+    power_rows = scenarios.power_rows
+
+    def broken(log_u, n_agents, cell_volume):
+        log_t = power_rows(log_u, n_agents, cell_volume)
+        log_t[1, 1] = np.nan
+        return log_t
+
+    monkeypatch.setattr(scenarios, "power_rows", broken)
+    with pytest.raises(DbfError, match="particle bank 5 "):
+        run_formation(cfg)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------- multiloop
