@@ -217,7 +217,12 @@ def cmd_graph_check(args) -> int:
     ]
     matrices = []
     for path in args.edges:
-        graph = load_edge_list(path, n=args.agents)
+        try:
+            graph = load_edge_list(path, n=args.agents)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
+        if matrices and graph.n != matrices[0].n:
+            raise ConfigInvalid(f"{path} has {graph.n} nodes but {args.edges[0]} has {matrices[0].n}; set -N")
         # a single slot may be disconnected; the schedule check covers
         # connectivity over whole windows
         matrices.append(weight_fn(graph, require_connected=False))

@@ -211,10 +211,6 @@ class DensityGrid:
     def mean(self) -> np.ndarray:
         return (self.values[:, None] * self.grid.cells).sum(axis=0) * self.grid.cell_volume
 
-    def allclose(self, other: "DensityGrid", atol: float = 1e-12) -> bool:
-        _check_same_grid(self, other)
-        return bool(np.allclose(self.log_values, other.log_values, atol=atol, rtol=0))
-
 
 def floor_and_normalize(grid: StateGrid, log_values: np.ndarray) -> np.ndarray:
     """Normalize log values on a grid, then clamp cells to the positivity floor.
@@ -227,8 +223,8 @@ def floor_and_normalize(grid: StateGrid, log_values: np.ndarray) -> np.ndarray:
 def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarray:
     """Checked :func:`floor_and_normalize` of stacked fields, in place.
 
-    Each row of the (m, n_cells) float array is normalized, floored,
-    renormalized and floored again. Raises ValueError on a wrong row length
+    Each row of the (m, n_cells) float array goes through
+    :func:`normalize_rows` twice. Raises ValueError on a wrong row length
     or a NaN, and AllZero when a row carries no mass.
     """
     if log_rows.ndim != 2 or log_rows.shape[1] != grid.n_cells:
@@ -238,39 +234,26 @@ def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarra
         raise ValueError("log density contains NaN")
     if not np.isfinite(top).all():
         raise AllZero("density has no mass to normalize")
-    log_volume = np.log(grid.cell_volume)
-    for _ in range(2):
-        log_rows -= _log_mass_rows(log_rows) + log_volume
-        np.maximum(log_rows, LOG_FLOOR, out=log_rows)
-    return log_rows
-
-
-def _log_mass_rows(log_rows: np.ndarray) -> np.ndarray:
-    """Log of each row's summed exponentials, as a column.
-
-    The maximal cells are split out of the sum and the rest enters through
-    ``log1p``, so the result keeps the precision of the small terms: a
-    rescaled field then normalizes to the same bits.
-    """
-    top = log_rows.max(axis=1, keepdims=True)
-    rest = log_rows - top
-    at_top = rest == 0.0
-    np.exp(rest, out=rest)
-    rest[at_top] = 0.0
-    ties = at_top.sum(axis=1, keepdims=True)
-    return np.log1p(rest.sum(axis=1, keepdims=True) / ties) + np.log(ties) + top
+    # the second pass keeps test_normalize_scale_invariant bit for bit
+    normalize_rows(log_rows, grid.cell_volume)
+    return normalize_rows(log_rows, grid.cell_volume)
 
 
 def normalize_rows(log_values: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Normalize each row of stacked log fields in place, then floor it.
+    """Normalize each field along the last axis of a stack in place, then floor it.
 
-    One max-shift pass per row stands in for ``logsumexp``; returns the
-    array it was given.
+    The maximal cells are split out of each field's sum and the rest enters
+    through ``log1p``, so the log mass keeps the precision of the small
+    terms. Returns the array it was given.
     """
     top = log_values.max(axis=-1, keepdims=True)
-    shifted = log_values - top
-    mass = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
-    log_values -= top + np.log(mass * cell_volume)
+    rest = log_values - top
+    at_top = rest == 0.0
+    np.exp(rest, out=rest)
+    np.copyto(rest, 0.0, where=at_top)
+    ties = at_top.sum(axis=-1, keepdims=True)
+    log_mass = np.log1p(rest.sum(axis=-1, keepdims=True) / ties) + np.log(ties) + top
+    log_values -= log_mass + np.log(cell_volume)
     np.maximum(log_values, LOG_FLOOR, out=log_values)
     return log_values
 

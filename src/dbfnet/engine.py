@@ -28,12 +28,10 @@ from .density import (
     normalize_rows,
 )
 from .errors import KernelInvalid, WeightRowInvalid
-from .pools import joint_likelihood
+from .pools import bayes_update as update, joint_likelihood
 
 _KERNEL_TOL = 1e-6
 _ROW_TOL = 1e-9
-# 50*50*64 < 262,144, OpenBLAS's gemm threading threshold; power-of-two widths keep a @ U's bits
-_MIX_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,6 @@ def power_estimate(u: DensityGrid, n_agents: int) -> DensityGrid:
     return DensityGrid(u.grid, power_rows(u.log_values[None], n_agents, u.grid.cell_volume)[0])
 
 
-def update(s: DensityGrid, t: DensityGrid) -> DensityGrid:
-    """Bayes update of the predicted prior with the fused likelihood power."""
-    _check_same_grid(s, t)
-    log_w = floor_and_normalize_rows(s.grid, (s.log_values + t.log_values)[None])
-    return DensityGrid(s.grid, log_w[0])
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     joint: DensityGrid
@@ -282,6 +273,8 @@ def dbf_step(
     All agents run as stacked log rows, one row per agent; the rows become
     checked densities only at the end.
     """
+    if k < 1:
+        raise ValueError("tick index is 1 based")
     n = len(agents)
     a = adjacency.values if hasattr(adjacency, "values") else np.asarray(adjacency, dtype=float)
     if a.shape != (n, n):
@@ -310,8 +303,6 @@ def dbf_step(
         senders = np.flatnonzero((a > 0.0).any(axis=0))
         if any(agents[j].u is None for j in senders):
             raise ValueError("fusion state missing; was tick 1 run?")
-        if k < 1:
-            raise ValueError("tick index is 1 based")
         if any(st.l is None for st in agents):
             raise ValueError("previous likelihood required after the first tick")
         a_pos = _positive_weights(a)
@@ -396,8 +387,8 @@ def consensus_update(
     Stacks are (n, ..., cells), one leading row per agent. Equivalent to
     per-agent ``fuse`` on each field followed by normalization and flooring,
     but runs as one mix ``a @ U`` on the (n, -1) view, in column blocks small
-    enough that BLAS runs each on the calling thread for up to 50 agents.
-    Pass ``log_l_prev=None`` for tick 1 or a restart.
+    enough that BLAS runs each on the calling thread. Pass
+    ``log_l_prev=None`` for tick 1 or a restart.
     """
     if log_l_prev is None:
         raw = log_l.copy()
@@ -405,11 +396,15 @@ def consensus_update(
         raw = np.empty(log_l.shape)
         flat = raw.reshape(len(raw), -1)
         flat_u = log_u_prev.reshape(len(log_u_prev), -1)
-        for c in range(0, flat.shape[1], _MIX_COLUMNS):
-            block = slice(c, c + _MIX_COLUMNS)
+        # n*n*width stays under 262,144, OpenBLAS's gemm threading threshold;
+        # power-of-two widths keep a @ U's bits
+        width = 64
+        while len(a) * len(a) * width * 2 < 262_144:
+            width *= 2
+        for c in range(0, flat.shape[1], width):
+            block = slice(c, c + width)
             np.matmul(a, flat_u[:, block], out=flat[:, block])
         raw += log_l - log_l_prev
-    normalize_rows(raw, cell_volume)
     return normalize_rows(raw, cell_volume)
 
 

@@ -122,7 +122,6 @@ class BenchmarkConfig:
     region: tuple[float, float, float, float] = (0.0, 120.0, 0.0, 120.0)
     comm_radius: float = 40.0
     noise_tau: float = 2.0
-    reset_period: float = 0.0
     doa_printed_order: bool = True
     delta_target: float = 1.0
     eta: float = 0.5
@@ -146,8 +145,6 @@ class BenchmarkConfig:
             raise ConfigInvalid("noise scales must be positive")
         if self.noise_tau < 0:
             raise ConfigInvalid("noise_tau must be nonnegative")
-        if self.reset_period < 0:
-            raise ConfigInvalid("reset_period must be nonnegative")
         if not (0.0 < self.eta < 1.0 and 0.0 < self.delta_target < 2.0 / (1.0 + self.eta)):
             raise ConfigInvalid("need eta in (0, 1) and delta_target in (0, 2 / (1 + eta))")
         xmin, xmax, ymin, ymax = self.region
@@ -166,13 +163,6 @@ class BenchmarkConfig:
     @property
     def stride(self) -> int:
         return int(round(self.dt / DT_MASTER))
-
-    @property
-    def reset_ticks(self) -> int:
-        """Fusion restart cadence in ticks; 0 disables restarts."""
-        if self.reset_period <= 0:
-            return 0
-        return max(1, int(round(self.reset_period / self.dt)))
 
     @property
     def sigma_theta(self) -> float:
@@ -544,12 +534,6 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
 
             log_l = _scenario1_log_likelihoods(cfg, layout, meas, grid)
 
-            # restart the fusion chains on a fixed wall-clock cadence: the
-            # difference-driven recursion cannot shed an error component shared
-            # by every agent, so accumulated drift is purged periodically while
-            # the particle filters carry the posterior across each restart
-            if cfg.reset_ticks and (k - 1) % cfg.reset_ticks == 0:
-                log_l_prev = None
             log_u = consensus_update(log_u, log_l, log_l_prev, a, vol)
             log_t = power_rows(log_u, n, vol)
             log_l_prev = log_l
@@ -672,7 +656,6 @@ class FormationConfig:
     process_noise: float = 0.03
     grid_cells: tuple[int, int] = (128, 128)
     control_cap: float = 5.0
-    warmup: int = 0
     consensus_reset: int = 10
 
     def __post_init__(self) -> None:
@@ -688,8 +671,6 @@ class FormationConfig:
             raise ConfigInvalid("process_noise must be nonnegative")
         if self.control_cap <= 0:
             raise ConfigInvalid("control_cap must be positive")
-        if self.warmup < 0 or self.warmup >= self.ticks:
-            raise ConfigInvalid("warmup must be shorter than the run")
         if self.consensus_reset < 1:
             raise ConfigInvalid("consensus_reset must be at least 1")
         hw = self.n_agents if self.half_width is None else self.half_width
@@ -831,16 +812,13 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             else:
                 anchor += 0.25 * (y_self - anchor)
 
-            # rings join only once the self fixes have localized every bank and
-            # the assembly motion has slowed; rings fired into a still-moving
-            # swarm restart the fused densities faster than consensus can track
             log_l = np.zeros((n, n, grid.n_cells))
             for i in range(n):
                 for j in range(n):
                     if j == i:
                         diff = cells - y_self[i]
                         log_l[i, j] = -0.5 * (diff**2).sum(axis=1) / self_sigma**2
-                    elif k > cfg.warmup and j in neighbors[i]:
+                    elif j in neighbors[i]:
                         log_l[i, j] = toa_log_likelihood(
                             cells, anchor[i], ranges[(i, j)], cfg.range_noise
                         )

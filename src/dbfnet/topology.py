@@ -364,18 +364,23 @@ def random_schedule(
 
 
 def load_edge_list(path, n: int | None = None) -> Digraph:
-    """Read an undirected edge list, one 'i j' pair per line."""
+    """Read an undirected edge list, one 'i j' pair per line; errors name the line."""
     pairs = []
     nodes = -1
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{number}: edge {line!r}"
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line: {line!r}")
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ValueError(f"{where} is not two node indices")
             i, j = int(parts[0]), int(parts[1])
+            if i == j:
+                raise ValueError(f"{where} is a self loop; self loops are implicit")
+            if n is not None and max(i, j) >= n:
+                raise ValueError(f"{where} names a node at or beyond the {n} agents")
             pairs.append((i, j))
             nodes = max(nodes, i, j)
     count = n if n is not None else nodes + 1

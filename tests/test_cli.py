@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -291,6 +294,32 @@ def test_graph_check_two_slot_schedule(tmp_path, capsys):
     assert "b: 2" in out
 
 
+@pytest.mark.parametrize(
+    "lines, extra, named",
+    [
+        pytest.param("0 1\n1 x\n", (), "bad.txt:2", id="non-integer"),
+        pytest.param("0 1\n-1 2\n", (), "bad.txt:2", id="negative"),
+        pytest.param("0 1\n\n2 2\n", (), "bad.txt:3", id="self-loop"),
+        pytest.param("0 1\n1 4\n", ("-N", "4"), "bad.txt:2", id="beyond-N"),
+        pytest.param("0 1\n1 2 3\n", (), "bad.txt:2", id="three-tokens"),
+    ],
+)
+def test_graph_check_bad_edge_file_is_exit_two(tmp_path, capsys, lines, extra, named):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(lines, encoding="utf-8")
+    assert run_cli("graph-check", str(bad), *extra) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+def test_graph_check_slots_of_different_sizes_is_exit_two(tmp_path, capsys):
+    a = write_edges(tmp_path / "a.txt", [(0, 1), (1, 2)])
+    b = write_edges(tmp_path / "b.txt", [(0, 1), (1, 2), (2, 3)])
+    assert run_cli("graph-check", str(a), str(b), "-b", "2") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "b.txt" in err
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -330,3 +359,14 @@ def test_sweep_requires_values(tmp_path, capsys):
         str(tmp_path / "s"),
     )
     assert code == 2
+
+
+def test_imports_without_scipy():
+    # numpy is the only runtime dependency
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "import dbfnet, dbfnet.cli, dbfnet.scenarios"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

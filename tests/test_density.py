@@ -132,6 +132,19 @@ def test_normalize_rows_matches_floor_and_normalize():
     for i in range(3):
         np.testing.assert_allclose(rows[i], DensityGrid.from_log(g, raw[i]).log_values, atol=1e-12)
     assert rows.min() >= LOG_FLOOR
+    # a (2, 3, cells) stack with tied maxima and -inf cells, normalized in one pass
+    stack = rng.uniform(-50.0, 5.0, (2, 3, g.n_cells))
+    stack[0, 0, [4, 9]] = stack[0, 0].max() + 1.0
+    stack[0, 1, :5] = stack[0, 1].max() + 1.0
+    stack[1, 0, ::3] = -np.inf
+    stack[1, 1, 1:] = -np.inf
+    stack[1, 2, [0, 7, 60]] = 7.0
+    stack[1, 2, 20:40] = -np.inf
+    rows = normalize_rows(stack.copy(), g.cell_volume)
+    assert rows.shape == stack.shape
+    for field, raw_field in zip(rows.reshape(-1, g.n_cells), stack.reshape(-1, g.n_cells)):
+        DensityGrid(g, field)
+        np.testing.assert_allclose(field, DensityGrid.from_log(g, raw_field).log_values, atol=1e-12)
 
 
 def test_floor_and_normalize_all_minus_inf_has_no_mass():

@@ -143,8 +143,6 @@ def test_benchmark_config_validation():
         tiny_benchmark(particles=0)
     with pytest.raises(ConfigInvalid):
         tiny_benchmark(region=(10.0, 0.0, 0.0, 10.0))
-    with pytest.raises(ConfigInvalid):
-        tiny_benchmark(reset_period=-1.0)
     # the steady L1 target must leave (1 + eta) delta_target below the L1 bound of 2
     with pytest.raises(ConfigInvalid):
         tiny_benchmark(delta_target=1.5, eta=0.5)
@@ -477,8 +475,6 @@ def test_formation_config_validation():
         FormationConfig(apf_gain=0.0)
     with pytest.raises(ConfigInvalid):
         FormationConfig(ticks=0)
-    with pytest.raises(ConfigInvalid):
-        FormationConfig(warmup=300)
     with pytest.raises(ConfigInvalid):
         FormationConfig(consensus_reset=0)
     for cells in ((1, 1), (64,), (64, 64, 64), (64, 1)):
