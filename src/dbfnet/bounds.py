@@ -75,24 +75,36 @@ class ConvergenceParams:
         return self.b * (self.n - 1)
 
 
-def _rate_coefficient(p: ConvergenceParams, window: int) -> float:
-    # 2 w n sqrt(n) theta_l, the denominator scale of the dt bound
-    return 2.0 * window * p.n * math.sqrt(p.n) * p.theta_l
+def _max_interval(p: ConvergenceParams, window: int) -> float:
+    # the sampling interval whose steady envelope, without error budgets, is delta
+    rate = 2.0 * window * p.n * math.sqrt(p.n) * p.theta_l
+    return (1.0 - p.sigma_m) * math.log(p.delta + 1.0) / rate
+
+
+def _steady_delta(p: ConvergenceParams, window: int, delta_t: float) -> float:
+    # exp(n c) - 1 with the error budgets in the drift; math.inf once it overflows
+    if delta_t <= 0:
+        raise DomainError("delta_t must be positive")
+    drift = delta_t * p.theta_l + 2.0 * p.eps_l + p.eps_u
+    c = 2.0 * window * math.sqrt(p.n) * drift / (1.0 - p.sigma_m)
+    try:
+        return math.expm1(p.n * c)
+    except OverflowError:
+        return math.inf
 
 
 def delta_max(p: ConvergenceParams) -> float:
     """Largest sampling interval whose steady-state envelope stays at delta."""
-    return (1.0 - p.sigma_m) * math.log(p.delta + 1.0) / _rate_coefficient(p, p.window)
+    return _max_interval(p, p.window)
 
 
 def delta_min(p: ConvergenceParams, delta_t_min: float) -> float:
     """Smallest achievable steady error when dt cannot go below delta_t_min.
 
-    Exact inverse of ``delta_max``: feeding its output back returns delta.
+    ``steady_state_delta`` without the error budgets, so the inverse of
+    ``delta_max`` up to rounding; ``math.inf`` when it overflows.
     """
-    if delta_t_min <= 0:
-        raise DomainError("delta_t_min must be positive")
-    return math.expm1(delta_t_min * _rate_coefficient(p, p.window) / (1.0 - p.sigma_m))
+    return _steady_delta(replace(p, eps_u=0.0, eps_l=0.0), p.window, delta_t_min)
 
 
 def _kappa(window: int, sigma: float, n: int, delta: float, eta: float, d1: float) -> int:
@@ -138,13 +150,10 @@ def steady_state_delta(p: ConvergenceParams, delta_t: float) -> float:
     """Steady value of the L1 envelope at interval delta_t.
 
     Includes the communication and modeling error budgets when set, so with
-    zero budgets this is the exact inverse of ``delta_max``.
+    zero budgets this is the inverse of ``delta_max``. Saturates at
+    ``math.inf`` when the envelope overflows a float.
     """
-    if delta_t <= 0:
-        raise DomainError("delta_t must be positive")
-    drift = delta_t * p.theta_l + 2.0 * p.eps_l + p.eps_u
-    c = 2.0 * p.window * math.sqrt(p.n) * drift / (1.0 - p.sigma_m)
-    return math.expm1(p.n * c)
+    return _steady_delta(p, p.window, delta_t)
 
 
 @dataclass(frozen=True)
@@ -163,15 +172,10 @@ def static_bounds(p: ConvergenceParams, sigma_a: float, delta_t_min: float | Non
     """
     if not (0.0 <= sigma_a < 1.0):
         raise DomainError("sigma_a must lie in [0, 1)")
-    q = replace(p, sigma_m=sigma_a)
-    dt = (1.0 - sigma_a) * math.log(q.delta + 1.0) / _rate_coefficient(q, 1)
+    q = replace(p, sigma_m=sigma_a, eps_u=0.0, eps_l=0.0)
     k = _kappa(1, sigma_a, q.n, q.delta, q.eta, q.d1)
-    dmin = None
-    if delta_t_min is not None:
-        if delta_t_min <= 0:
-            raise DomainError("delta_t_min must be positive")
-        dmin = math.expm1(delta_t_min * _rate_coefficient(q, 1) / (1.0 - sigma_a))
-    return StaticBounds(delta_t_max=dt, kappa=k, delta_min=dmin)
+    dmin = None if delta_t_min is None else _steady_delta(q, 1, delta_t_min)
+    return StaticBounds(delta_t_max=_max_interval(q, 1), kappa=k, delta_min=dmin)
 
 
 def robust_delta_max(p: ConvergenceParams) -> float:
@@ -188,12 +192,8 @@ def robust_delta_max(p: ConvergenceParams) -> float:
     return slack
 
 
-def robust_delta_min(p: ConvergenceParams, delta_t_min: float) -> float:
-    """Smallest achievable steady error under the error budgets."""
-    if delta_t_min <= 0:
-        raise DomainError("delta_t_min must be positive")
-    shifted = delta_t_min + (2.0 * p.eps_l + p.eps_u) / p.theta_l
-    return math.expm1(shifted * _rate_coefficient(p, p.window) / (1.0 - p.sigma_m))
+# the smallest steady error reachable under the error budgets is the steady envelope
+robust_delta_min = steady_state_delta
 
 
 def multiloop_bound(n: int, sigma_a: float, n_loop: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -196,6 +197,10 @@ def _bounds_payload(args) -> dict:
             out["static_delta_min"] = sb.delta_min
     if args.gamma is not None:
         out["sigma_m_bound"] = sigma_m_bound(args.agents, args.gamma)
+    # an envelope that overflows a float reads inf, which JSON cannot carry
+    for key in ("robust_delta_min", "static_delta_min"):
+        if out.get(key) == math.inf:
+            raise ConfigInvalid(f"target delta {p.delta:.6g} is unreachable: {key} at dt_min {args.dt_min:.6g} is inf")
     return out
 
 

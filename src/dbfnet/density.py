@@ -261,16 +261,17 @@ def normalize_rows(log_values: np.ndarray, cell_volume: float) -> np.ndarray:
 def l1_rows(log_p: np.ndarray, log_q: np.ndarray, cell_volume: float) -> np.ndarray:
     """Grid L1 distance of each row of ``log_p`` from ``log_q``, a row or a stack.
 
-    The distance between two densities is at most 2, but the cell sum can
-    overshoot it by its own rounding, at most ``2 * cells * eps``; such an
-    overshoot is clamped to 2, and a larger one raises DbfError.
+    The distance between two densities is at most 2, but it can overshoot 2
+    by the masses ``DensityGrid`` accepts, each within ``_MASS_TOL`` of 1, and
+    by the cell sum's rounding, at most ``2 * cells * eps``; such an overshoot
+    is clamped to 2, and a larger one raises DbfError.
     """
     gap = np.exp(log_p)
     gap -= np.exp(log_q)
     l1 = np.abs(gap, out=gap).sum(axis=-1) * cell_volume
     top = l1.max(initial=0.0)
     if top > 2.0:
-        allowance = 2.0 * log_p.shape[-1] * np.finfo(float).eps
+        allowance = 2.0 * _MASS_TOL + 2.0 * log_p.shape[-1] * np.finfo(float).eps
         if not top <= 2.0 + allowance:
             raise DbfError(f"L1 distance {top!r} exceeds 2 by more than rounding ({allowance:.2g})")
         np.minimum(l1, 2.0, out=l1)
@@ -283,9 +284,10 @@ def normalize(grid: StateGrid, raw_values: np.ndarray) -> DensityGrid:
 
 
 def l1_distance(p: DensityGrid, q: DensityGrid) -> float:
-    """Grid L1 distance, sum of absolute cell differences times cell volume."""
+    """Grid L1 distance, sum of absolute cell differences times cell volume,
+    with ``l1_rows``' clamp of rounding overshoot above 2."""
     _check_same_grid(p, q)
-    return float(np.abs(p.values - q.values).sum() * p.grid.cell_volume)
+    return float(l1_rows(p.log_values[None], q.log_values, p.grid.cell_volume)[0])
 
 
 def tv_distance(p: DensityGrid, q: DensityGrid) -> float:

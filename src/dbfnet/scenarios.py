@@ -64,13 +64,8 @@ def target_dynamics_cv(dt: float) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigInvalid("dt must be positive")
     f1 = np.array([[1.0, dt], [0.0, 1.0]])
     q1 = np.array([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]])
-    f = np.zeros((4, 4))
-    q = np.zeros((4, 4))
-    f[:2, :2] = f1
-    f[2:, 2:] = f1
-    q[:2, :2] = q1
-    q[2:, 2:] = q1
-    return f, q
+    # one block per axis; the 0/1 factors of kron leave every entry's bits
+    return np.kron(np.eye(2), f1), np.kron(np.eye(2), q1)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -85,23 +80,32 @@ def bearing(dx: np.ndarray, dy: np.ndarray, printed_order: bool = True) -> np.nd
 
 
 def toa_log_likelihood(
-    points: np.ndarray, sensor_pos: np.ndarray, y: float, sigma_r: float
+    points: np.ndarray, sensor_pos: np.ndarray, y: float | np.ndarray, sigma_r: float
 ) -> np.ndarray:
-    """Unnormalized log likelihood of a range measurement at given points."""
-    d = np.hypot(points[:, 0] - sensor_pos[0], points[:, 1] - sensor_pos[1])
-    return -0.5 * ((y - d) / sigma_r) ** 2
+    """Unnormalized log likelihood of range measurements at (P, 2) points.
+
+    Sensor positions (..., 2) and measurements (...) give one row of P values
+    per sensor; one sensor gives (P,).
+    """
+    sensor_pos, y = np.asarray(sensor_pos), np.asarray(y)
+    d = np.hypot(points[:, 0] - sensor_pos[..., 0, None], points[:, 1] - sensor_pos[..., 1, None])
+    return -0.5 * ((y[..., None] - d) / sigma_r) ** 2
 
 
 def doa_log_likelihood(
     points: np.ndarray,
     sensor_pos: np.ndarray,
-    y: float,
+    y: float | np.ndarray,
     sigma_theta: float,
     printed_order: bool = True,
 ) -> np.ndarray:
-    """Unnormalized log likelihood of a bearing measurement at given points."""
-    ang = bearing(points[:, 0] - sensor_pos[0], points[:, 1] - sensor_pos[1], printed_order)
-    return -0.5 * (_wrap_angle(y - ang) / sigma_theta) ** 2
+    """Unnormalized log likelihood of bearing measurements at (P, 2) points,
+    one row per sensor as in ``toa_log_likelihood``."""
+    sensor_pos, y = np.asarray(sensor_pos), np.asarray(y)
+    ang = bearing(
+        points[:, 0] - sensor_pos[..., 0, None], points[:, 1] - sensor_pos[..., 1, None], printed_order
+    )
+    return -0.5 * (_wrap_angle(y[..., None] - ang) / sigma_theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -190,8 +194,6 @@ class RunMetrics:
 @dataclass(frozen=True)
 class Layout:
     positions: np.ndarray
-    toa: np.ndarray
-    doa: np.ndarray
     graph: Digraph
     adjacency: AdjacencyMatrix
 
@@ -241,9 +243,7 @@ def benchmark_layout(cfg: BenchmarkConfig) -> Layout:
     pairs = _bridge_components(cfg.n_agents, pairs, positions)
     graph = Digraph.undirected(cfg.n_agents, pairs)
     adjacency = local_degree_weights(graph) if cfg.n_agents > 1 else AdjacencyMatrix(np.eye(1))
-    toa = np.arange(0, cfg.n_toa)
-    doa = np.arange(cfg.n_toa, cfg.n_toa + cfg.n_doa)
-    return Layout(positions=positions, toa=toa, doa=doa, graph=graph, adjacency=adjacency)
+    return Layout(positions=positions, graph=graph, adjacency=adjacency)
 
 
 def master_trajectory(cfg: BenchmarkConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -286,22 +286,15 @@ def _init_particles(cfg: BenchmarkConfig, center: np.ndarray, rng: np.random.Gen
 
 def _scenario1_measurements(
     cfg: BenchmarkConfig, layout: Layout, truth_row: np.ndarray, noise_row: np.ndarray
-) -> dict:
-    out = {}
-    pos = truth_row[[0, 2]]
-    for i in layout.toa:
-        d = float(np.hypot(*(pos - layout.positions[i])))
-        out[int(i)] = ("toa", d + cfg.sigma_r * noise_row[i, 0])
-    for i in layout.doa:
-        ang = float(
-            bearing(
-                pos[0] - layout.positions[i][0],
-                pos[1] - layout.positions[i][1],
-                cfg.doa_printed_order,
-            )
-        )
-        out[int(i)] = ("doa", ang + cfg.sigma_theta * noise_row[i, 0])
-    return out
+) -> np.ndarray:
+    """The ranges of agents 0 .. n_toa - 1, then the bearings of the next n_doa agents."""
+    toa = slice(0, cfg.n_toa)
+    doa = slice(cfg.n_toa, cfg.n_toa + cfg.n_doa)
+    dx, dy = (truth_row[[0, 2]] - layout.positions[: doa.stop]).T
+    y = np.empty(doa.stop)
+    y[toa] = np.hypot(dx[toa], dy[toa]) + cfg.sigma_r * noise_row[toa, 0]
+    y[doa] = bearing(dx[doa], dy[doa], cfg.doa_printed_order) + cfg.sigma_theta * noise_row[doa, 0]
+    return y
 
 
 def _observed_kappa(max_l1: np.ndarray, threshold: float) -> int | None:
@@ -314,38 +307,30 @@ def _observed_kappa(max_l1: np.ndarray, threshold: float) -> int | None:
     return int(above[-1]) + 2
 
 
-def _measurement_log_likelihoods(
-    cfg: BenchmarkConfig, layout: Layout, meas: dict, points: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Each measuring agent's index and unnormalized log likelihood at (m, 2)
-    points, in agent order."""
-    for i in sorted(meas):
-        kind, y = meas[i]
-        if kind == "toa":
-            yield i, toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
-        else:
-            yield i, doa_log_likelihood(
-                points, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
-            )
+def _sensor_log_likelihoods(
+    cfg: BenchmarkConfig, layout: Layout, y: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Unnormalized log likelihood of each measurement of ``y`` at (P, 2)
+    points, one row per sensing agent in agent order: (m, P)."""
+    n_toa, pos = cfg.n_toa, layout.positions[: len(y)]
+    toa = toa_log_likelihood(points, pos[:n_toa], y[:n_toa], cfg.sigma_r)
+    doa = doa_log_likelihood(points, pos[n_toa:], y[n_toa:], cfg.sigma_theta, cfg.doa_printed_order)
+    return np.concatenate([toa, doa])
 
 
 def _joint_log_likelihood(
-    cfg: BenchmarkConfig, layout: Layout, meas: dict, points: np.ndarray
+    cfg: BenchmarkConfig, layout: Layout, y: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Sum of every measurement's log likelihood at (m, 2) points, added in agent order."""
-    total = np.zeros(points.shape[0])
-    for _, log_l in _measurement_log_likelihoods(cfg, layout, meas, points):
-        total += log_l
-    return total
+    """Sum of every measurement's log likelihood at (P, 2) points, added in agent order."""
+    return _sensor_log_likelihoods(cfg, layout, y, points).sum(axis=0)
 
 
 def _scenario1_log_likelihoods(
-    cfg: BenchmarkConfig, layout: Layout, meas: dict, grid: StateGrid
+    cfg: BenchmarkConfig, layout: Layout, y: np.ndarray, grid: StateGrid
 ) -> np.ndarray:
     """Normalized, floored per-agent log likelihoods on the grid's cells."""
     log_l = np.zeros((cfg.n_agents, grid.n_cells))
-    for i, row in _measurement_log_likelihoods(cfg, layout, meas, grid.cells):
-        log_l[i] = row
+    log_l[: len(y)] = _sensor_log_likelihoods(cfg, layout, y, grid.cells)
     return normalize_rows(log_l, grid.cell_volume)
 
 
@@ -504,7 +489,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
 
     log_u = None
     log_l_prev = None
-    meas_prev = None
+    y_prev = None
     rows: list = []
     estimates = np.empty((cfg.steps, n, 2))
     truth_used = np.empty((cfg.steps, 4))
@@ -517,7 +502,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             t_idx = k * cfg.stride
             truth_row = truth_m[t_idx]
             truth_used[k - 1] = truth_row
-            meas = _scenario1_measurements(cfg, layout, truth_row, noise_m[t_idx])
+            y = _scenario1_measurements(cfg, layout, truth_row, noise_m[t_idx])
 
             # re-centre the window, in whole cells, on the network mean of the
             # agents' predicted means
@@ -526,18 +511,18 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             if offset is None or (new_offset != offset).any():
                 grid = cfg.position_grid(tuple(new_offset))
                 if log_l_prev is not None:
-                    moved = _scenario1_log_likelihoods(cfg, layout, meas_prev, grid)
+                    moved = _scenario1_log_likelihoods(cfg, layout, y_prev, grid)
                     shift = new_offset - offset
                     log_u = move_fusion_state(log_u, log_l_prev, moved, shift, grid.points)
                     log_l_prev = moved
                 offset = new_offset
 
-            log_l = _scenario1_log_likelihoods(cfg, layout, meas, grid)
+            log_l = _scenario1_log_likelihoods(cfg, layout, y, grid)
 
             log_u = consensus_update(log_u, log_l, log_l_prev, a, vol)
             log_t = power_rows(log_u, n, vol)
             log_l_prev = log_l
-            meas_prev = meas
+            y_prev = y
 
             log_joint = normalize_rows(log_l.sum(axis=0), vol)
             l1 = l1_rows(log_t, log_joint, vol)
@@ -547,7 +532,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             # arrays stay in cache: agents weight by their fused field, the
             # reference by the exact likelihoods of every measurement
             likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
-            likelihoods.append(partial(_joint_log_likelihood, cfg, layout, meas))
+            likelihoods.append(partial(_joint_log_likelihood, cfg, layout, y))
             _step_banks(
                 particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch, pool
             )
@@ -692,9 +677,9 @@ class FormationConfig:
 
 
 def apf_term(target: np.ndarray, own: np.ndarray, dist: float, gain: float) -> np.ndarray:
-    """Attractive/repulsive potential term, zero exactly at range ``dist``."""
+    """Attractive/repulsive potential term, zero exactly at range ``dist``, over stacks of positions."""
     diff = target - own
-    r = max(float(np.hypot(*diff)), 1e-9)
+    r = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), 1e-9)[..., None]
     return (diff / r) * (gain * r - gain * dist**2 / r)
 
 
@@ -728,18 +713,15 @@ def _nearest_two(
     return out
 
 
-def _formation_control(
-    est: np.ndarray, i: int, neighbors: list[int], cfg: FormationConfig
-) -> np.ndarray:
-    own = est[i]
-    u = np.zeros(2)
-    for j in neighbors:
-        u += apf_term(est[j], own, cfg.spacing, cfg.apf_gain)
-    cm = est.mean(axis=0)
-    u += apf_term(cm, own, cfg.center_spacing, cfg.apf_gain)
-    speed = float(np.hypot(*u))
-    if speed > cfg.control_cap:
-        u *= cfg.control_cap / speed
+def _formation_controls(est: np.ndarray, neighbors: list[list[int]], cfg: FormationConfig) -> np.ndarray:
+    """Every agent's control as each viewer computes it: entry (i, j) steers
+    agent j by its neighbors ``neighbors[j]`` and the centroid, all read from
+    viewer i's (n, 2) estimates ``est[i]``, capped at ``control_cap``."""
+    u = apf_term(est[:, np.array(neighbors)], est[:, :, None], cfg.spacing, cfg.apf_gain).sum(axis=2)
+    u += apf_term(est.mean(axis=1, keepdims=True), est, cfg.center_spacing, cfg.apf_gain)
+    speed = np.hypot(u[..., 0], u[..., 1])
+    fast = speed > cfg.control_cap
+    u[fast] *= (cfg.control_cap / speed[fast])[:, None]
     return u
 
 
@@ -771,6 +753,7 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     log_w = np.zeros((n * n, cfg.particles))
     means = np.empty((n * n, 2))
     est = means.reshape(n, n, 2)
+    diag = np.arange(n)
 
     log_u = None
     log_l_prev = None
@@ -789,20 +772,15 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     with _bank_workers(particles.shape[1:]) as (scratch, pool):
         for k in range(1, cfg.ticks + 1):
             neighbors = _nearest_two(pos, prev_neighbors)
-            pairs = []
-            for i in range(n):
-                for j in neighbors[i]:
-                    pairs.append((i, j))
-            pairs = _bridge_components(n, pairs, pos)
-            graph = Digraph.undirected(n, pairs)
+            # agent i ranges its two nearest neighbors; the bridges only carry messages
+            sensing = [(i, j) for i in range(n) for j in neighbors[i]]
+            viewer, ranged = np.array(sensing).T
+            graph = Digraph.undirected(n, _bridge_components(n, list(sensing), pos))
             a = local_degree_weights(graph).values
 
             y_self = pos + cfg.self_noise * meas_rng.standard_normal((n, 2))
-            ranges = {}
-            for i in range(n):
-                for j in neighbors[i]:
-                    true_d = float(np.hypot(*(pos[j] - pos[i])))
-                    ranges[(i, j)] = true_d + cfg.range_noise * meas_rng.standard_normal()
+            true_d = np.hypot(*(pos[ranged] - pos[viewer]).T)
+            ranges = true_d + cfg.range_noise * meas_rng.standard_normal(len(sensing))
 
             # the ring center is a plug-in nuisance parameter, so it uses a
             # smoothed fix: raw fixes jump a full noise width between ticks and
@@ -813,15 +791,8 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
                 anchor += 0.25 * (y_self - anchor)
 
             log_l = np.zeros((n, n, grid.n_cells))
-            for i in range(n):
-                for j in range(n):
-                    if j == i:
-                        diff = cells - y_self[i]
-                        log_l[i, j] = -0.5 * (diff**2).sum(axis=1) / self_sigma**2
-                    elif j in neighbors[i]:
-                        log_l[i, j] = toa_log_likelihood(
-                            cells, anchor[i], ranges[(i, j)], cfg.range_noise
-                        )
+            log_l[diag, diag] = -0.5 * ((cells - y_self[:, None]) ** 2).sum(axis=-1) / self_sigma**2
+            log_l[viewer, ranged] = toa_log_likelihood(cells, anchor[viewer], ranges, cfg.range_noise)
             normalize_rows(log_l, vol)
 
             # the difference-driven recursion conserves any error field shared by
@@ -835,15 +806,8 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             log_l_prev = log_l
 
             # predict each instance with the control its target presumably applied
-            applied = np.zeros((n, n, 2))
-            if k > 1:
-                for i in range(n):
-                    for j in range(n):
-                        applied[i, j] = (
-                            prev_controls[i]
-                            if j == i
-                            else _formation_control(est[i], j, prev_neighbors[j], cfg)
-                        )
+            applied = _formation_controls(est, prev_neighbors, cfg) if k > 1 else np.zeros((n, n, 2))
+            applied[diag, diag] = prev_controls
             motions = [
                 partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in applied.reshape(-1, 2)
             ]
@@ -852,9 +816,7 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
                 particles, log_w, means, likelihoods, motions, slice(None), rngs, rough, scratch, pool
             )
 
-            controls = np.empty((n, 2))
-            for i in range(n):
-                controls[i] = _formation_control(est[i], i, neighbors[i], cfg)
+            controls = _formation_controls(est, neighbors, cfg)[diag, diag]
             pos = np.clip(pos + cfg.dt * controls, -hw, hw)
             prev_controls = controls
             prev_neighbors = neighbors

@@ -257,6 +257,16 @@ def test_robust_delta_min_exceeds_clean():
     assert robust_delta_min(p, 0.01) > delta_min(p, 0.01)
 
 
+def test_steady_envelope_saturates_at_inf():
+    # benchmark 1's own regime: sigma and theta_L measured on seed 1
+    p = ConvergenceParams(n=50, b=1, theta_l=528.0, sigma_m=0.938, delta=1.0, eta=0.5)
+    assert delta_min(p, 0.05) == math.inf
+    assert steady_state_delta(p, 0.05) == math.inf
+    assert robust_delta_min(p, 0.05) == math.inf
+    assert static_bounds(p, 0.938, delta_t_min=0.05).delta_min == math.inf
+    assert robust_delta_min(params(eps_u=0.02), 0.01) == steady_state_delta(params(eps_u=0.02), 0.01)
+
+
 # ---------------------------------------------------------------- multiloop
 
 

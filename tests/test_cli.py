@@ -205,6 +205,26 @@ def test_bounds_unreachable_delta_is_config_error(capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
+def test_bounds_overflowing_envelope_is_unreachable(capsys):
+    # sigma and theta_L of benchmark 1, seed 1: the envelope overflows a float
+    code = run_cli(
+        "bounds", "-N", "50", "--theta-l", "528", "--sigma-m", "0.938", "--delta", "1.0", "--dt-min", "0.05"
+    )
+    assert code == 2
+    assert "unreachable" in capsys.readouterr().err
+
+
+def test_bounds_overflowing_static_envelope_is_unreachable(capsys):
+    # near sigma_a = 1 the static envelope overflows while the dynamic one stays finite
+    args = ("bounds", "-N", "3", "--theta-l", "1", "--sigma-m", "0.5", "--delta", "0.5", "--dt-min", "0.001")
+    assert run_cli(*args, "--static-sigma", "0.5", "--json") == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["static_delta_min"])
+    assert run_cli(*args, "--static-sigma", "0.9999999", "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unreachable" in captured.err and "static_delta_min" in captured.err
+
+
 def test_bounds_robust_and_gamma_sections(capsys):
     code = run_cli(
         "bounds",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,9 +196,11 @@ def test_l1_rows_clamps_rounding_overshoot_only():
     lifted = p.log_values + np.log1p(4 * eps)
     assert np.abs(np.exp(lifted) - q.values).sum() * g.cell_volume > 2.0
     assert l1_rows(lifted[None], q.log_values, g.cell_volume)[0] == 2.0
-    # an overshoot past the rounding allowance 2 * cells * eps is reported
+    # so does a mass DensityGrid accepts, within 1e-9 of 1
+    assert l1_rows((p.log_values + 1e-9)[None], q.log_values, g.cell_volume)[0] == 2.0
+    # an overshoot past that allowance, 2e-9 plus 2 * cells * eps, is reported
     with pytest.raises(DbfError):
-        l1_rows((p.log_values + 1e-9)[None], q.log_values, g.cell_volume)
+        l1_rows((p.log_values + 1e-8)[None], q.log_values, g.cell_volume)
 
 
 def test_floor_applied():
@@ -226,6 +230,23 @@ def test_l1_near_disjoint_close_to_two():
     p = DensityGrid.gaussian(g, -6.0, [[0.01]])
     q = DensityGrid.gaussian(g, 6.0, [[0.01]])
     assert l1_distance(p, q) == pytest.approx(2.0, abs=1e-6)
+    # a pair whose cell sum overshoots 2 by rounding reads 2, as in l1_rows
+    g = StateGrid((0.0,), (1.0,), (48,))
+    p = DensityGrid.gaussian(g, 0.2, [[0.02**2]])
+    q = DensityGrid.gaussian(g, 0.8, [[0.02**2]])
+    assert l1_distance(p, q) <= 2.0
+    assert tv_distance(p, q) <= 1.0
+
+
+def test_l1_disjoint_pair_within_mass_tolerance_reads_two():
+    # DensityGrid accepts masses within 1e-9 of 1, so two disjoint ones at
+    # mass 1 + 5e-10 have a cell sum of 2 + 1e-9, beyond the rounding clamp
+    g = StateGrid((0.0,), (1.0,), (2,))
+    top = math.log(2.0 * (1.0 + 5e-10))
+    p = DensityGrid(g, np.array([top, LOG_FLOOR]))
+    q = DensityGrid(g, np.array([LOG_FLOOR, top]))
+    assert l1_distance(p, q) == 2.0
+    assert tv_distance(p, q) == 1.0
 
 
 def test_grid_mismatch():
@@ -353,7 +374,7 @@ def test_density_invariants(d):
 @settings(max_examples=60, deadline=None)
 def test_l1_metric_properties(p, q):
     d = l1_distance(p, q)
-    assert 0.0 <= d <= 2.0 + 1e-12
+    assert 0.0 <= d <= 2.0
     assert d == pytest.approx(l1_distance(q, p), abs=1e-15)
     assert tv_distance(p, q) == 0.5 * d
 

@@ -162,8 +162,6 @@ def test_layout_is_connected_and_balanced():
     assert layout.positions.shape == (8, 2)
     report = check_assumption1(AdjacencySchedule.static(layout.adjacency))
     assert report.connectivity_ok and report.doubly_stochastic_ok
-    np.testing.assert_array_equal(layout.toa, [0, 1, 2])
-    np.testing.assert_array_equal(layout.doa, [3, 4])
 
 
 def test_master_trajectory_shared_across_intervals():
@@ -352,7 +350,7 @@ def test_scenario1_leaves_no_threads(monkeypatch):
     run_benchmark_scenario1(cfg)
     assert threading.active_count() == before
     monkeypatch.setattr(
-        scenarios, "_joint_log_likelihood", lambda cfg, layout, meas, points: np.full(len(points), np.nan)
+        scenarios, "_joint_log_likelihood", lambda cfg, layout, y, points: np.full(len(points), np.nan)
     )
     with pytest.raises(DbfError, match="particle bank 5 "):
         run_benchmark_scenario1(cfg)
@@ -365,17 +363,50 @@ def test_joint_log_likelihood_is_the_agent_order_row_sum():
     cfg = tiny_benchmark(n_agents=6, n_toa=2, n_doa=2)
     layout = benchmark_layout(cfg)
     truth, noise = master_trajectory(cfg)
-    meas = _scenario1_measurements(cfg, layout, truth[5], noise[5])
+    y = _scenario1_measurements(cfg, layout, truth[5], noise[5])
+    # agent i < n_toa measures a range, the next n_doa agents a bearing
+    dx, dy = (truth[5, [0, 2]] - layout.positions[:4]).T
+    expected = [
+        float(np.hypot(dx[i], dy[i])) + cfg.sigma_r * noise[5, i, 0]
+        if i < cfg.n_toa
+        else float(bearing(dx[i], dy[i], cfg.doa_printed_order)) + cfg.sigma_theta * noise[5, i, 0]
+        for i in range(4)
+    ]
+    np.testing.assert_array_equal(y, expected)
     points = np.random.default_rng(11).uniform(-50.0, 150.0, (500, 2))
     full = np.zeros((cfg.n_agents, len(points)))
-    for i, (kind, y) in meas.items():
-        if kind == "toa":
-            full[i] = toa_log_likelihood(points, layout.positions[i], y, cfg.sigma_r)
+    for i, y_i in enumerate(y):
+        if i < cfg.n_toa:
+            full[i] = toa_log_likelihood(points, layout.positions[i], y_i, cfg.sigma_r)
         else:
             full[i] = doa_log_likelihood(
-                points, layout.positions[i], y, cfg.sigma_theta, cfg.doa_printed_order
+                points, layout.positions[i], y_i, cfg.sigma_theta, cfg.doa_printed_order
             )
-    np.testing.assert_array_equal(_joint_log_likelihood(cfg, layout, meas, points), full.sum(axis=0))
+    np.testing.assert_array_equal(_joint_log_likelihood(cfg, layout, y, points), full.sum(axis=0))
+
+
+@pytest.mark.parametrize("n_toa, n_doa", [(3, 2), (0, 4), (4, 0)])
+def test_stacked_likelihood_rows_equal_one_sensor_calls(n_toa, n_doa):
+    cfg = tiny_benchmark(n_agents=6, n_toa=n_toa, n_doa=n_doa)
+    layout = benchmark_layout(cfg)
+    truth, noise = master_trajectory(cfg)
+    y = _scenario1_measurements(cfg, layout, truth[7], noise[7])
+    points = np.random.default_rng(4).uniform(-50.0, 150.0, (300, 2))
+    toa_rows = toa_log_likelihood(points, layout.positions[:n_toa], y[:n_toa], cfg.sigma_r)
+    doa_rows = doa_log_likelihood(
+        points, layout.positions[n_toa : n_toa + n_doa], y[n_toa:], cfg.sigma_theta, cfg.doa_printed_order
+    )
+    assert toa_rows.shape == (n_toa, 300)
+    assert doa_rows.shape == (n_doa, 300)
+    for i in range(n_toa):
+        np.testing.assert_array_equal(
+            toa_rows[i], toa_log_likelihood(points, layout.positions[i], float(y[i]), cfg.sigma_r)
+        )
+    for i in range(n_doa):
+        one = doa_log_likelihood(
+            points, layout.positions[n_toa + i], float(y[n_toa + i]), cfg.sigma_theta, cfg.doa_printed_order
+        )
+        np.testing.assert_array_equal(doa_rows[i], one)
 
 
 def test_scenario1_deterministic():
@@ -504,6 +535,35 @@ def test_apf_term_zero_at_design_distance():
     assert attract[0] > 0.0
     repel = apf_term(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 2.0, 0.1)
     assert repel[0] < 0.0
+    # a stack of targets against one position: one term per target, bit for bit
+    targets = np.array([[[2.0, 0.0], [5.0, 0.0]], [[1.0, 0.0], [0.3, -1.7]]])
+    stacked = apf_term(targets, np.zeros(2), 2.0, 0.1)
+    assert stacked.shape == (2, 2, 2)
+    for idx in np.ndindex(2, 2):
+        np.testing.assert_array_equal(stacked[idx], apf_term(targets[idx], np.zeros(2), 2.0, 0.1))
+    np.testing.assert_array_equal(stacked[0, 0], out)
+
+
+@pytest.mark.parametrize("control_cap", [5.0, 0.05])
+def test_formation_controls_are_the_per_pair_sums(control_cap):
+    cfg = FormationConfig(n_agents=4, control_cap=control_cap)
+    est = np.random.default_rng(2).uniform(-3.0, 3.0, (4, 4, 2))
+    neighbors = [[1, 2], [0, 3], [0, 1], [1, 2]]
+    controls = scenarios._formation_controls(est, neighbors, cfg)
+    capped = 0
+    for i in range(4):
+        for j in range(4):
+            own = est[i, j]
+            u = np.zeros(2)
+            for m in neighbors[j]:
+                u += apf_term(est[i, m], own, cfg.spacing, cfg.apf_gain)
+            u += apf_term(est[i].mean(axis=0), own, cfg.center_spacing, cfg.apf_gain)
+            speed = float(np.hypot(*u))
+            if speed > cfg.control_cap:
+                u *= cfg.control_cap / speed
+                capped += 1
+            np.testing.assert_array_equal(controls[i, j], u)
+    assert capped == (16 if control_cap < 1.0 else 0)
 
 
 def test_formation_smoke_run():
@@ -518,6 +578,15 @@ def test_formation_smoke_run():
     assert len(res.summary["final_sides"]) == 3
     assert {m for _, _, m, _ in res.rows} == {"self_sq_err"}
     assert len(res.rows) == 30 * 3
+
+
+def test_formation_bridges_a_split_sensing_graph():
+    # seed 7 starts six agents as two triangles, so the nearest-two graph
+    # needs a bridge on tick 1; the bridge carries messages but takes no range
+    cfg = FormationConfig(seed=7, n_agents=6, particles=100, ticks=2, grid_cells=(16, 16))
+    res = run_formation(cfg)
+    assert len(res.rows) == 2 * 6
+    assert all(math.isfinite(v) for _, _, _, v in res.rows)
 
 
 def test_formation_deterministic(monkeypatch):
