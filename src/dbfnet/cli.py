@@ -94,9 +94,6 @@ def build_scenario(cfg: dict):
     unknown = set(body) - fields
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    for key in ("grid_cells", "region", "x0"):
-        if key in body and isinstance(body[key], list):
-            body[key] = tuple(body[key])
     try:
         return cls(**body), runner
     except TypeError as exc:
@@ -178,13 +175,7 @@ def _bounds_payload(args) -> dict:
         "kappa": kappa(p),
     }
     if args.dt_min is not None:
-        dmin = delta_min(p, args.dt_min)
-        out["delta_min"] = dmin
-        if p.delta <= dmin:
-            raise ConfigInvalid(
-                f"target delta {p.delta:.6g} is unreachable: the smallest achievable "
-                f"steady error at dt_min {args.dt_min:.6g} is {dmin:.6g}"
-            )
+        out["delta_min"] = delta_min(p, args.dt_min)
     if args.eps_u > 0 or args.eps_l > 0:
         out["robust_delta_t_max"] = robust_delta_max(p)
         if args.dt_min is not None:
@@ -197,10 +188,13 @@ def _bounds_payload(args) -> dict:
             out["static_delta_min"] = sb.delta_min
     if args.gamma is not None:
         out["sigma_m_bound"] = sigma_m_bound(args.agents, args.gamma)
+    # a smallest achievable error at or above the target makes it unreachable;
     # an envelope that overflows a float reads inf, which JSON cannot carry
-    for key in ("robust_delta_min", "static_delta_min"):
-        if out.get(key) == math.inf:
-            raise ConfigInvalid(f"target delta {p.delta:.6g} is unreachable: {key} at dt_min {args.dt_min:.6g} is inf")
+    for key in ("delta_min", "robust_delta_min", "static_delta_min"):
+        if p.delta <= out.get(key, -math.inf):
+            raise ConfigInvalid(
+                f"target delta {p.delta:.6g} is unreachable: {key} at dt_min {args.dt_min:.6g} is {out[key]:.6g}"
+            )
     return out
 
 
@@ -231,7 +225,10 @@ def cmd_graph_check(args) -> int:
         # a single slot may be disconnected; the schedule check covers
         # connectivity over whole windows
         matrices.append(weight_fn(graph, require_connected=False))
-    schedule = AdjacencySchedule(tuple(matrices), args.period)
+    try:
+        schedule = AdjacencySchedule(tuple(matrices), args.period)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
     report = check_assumption1(schedule)
     rate = sigma_m(schedule)
     print(f"slots: {schedule.period}  b: {report.b}  agents: {schedule.n}")

@@ -27,44 +27,42 @@ from .density import (
     l1_rows,
     normalize_rows,
 )
-from .errors import KernelInvalid, WeightRowInvalid
+from .errors import GridMismatch, KernelInvalid
 from .pools import bayes_update as update, joint_likelihood
+from .topology import _weight_rows
 
 _KERNEL_TOL = 1e-6
-_ROW_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetModel:
-    """Target motion: a state sampler and a grid-to-grid transition kernel.
+    """Target motion as a transition kernel on one grid.
 
     ``kernel[j, i]`` is the transition density from cell j to cell i, so each
-    row integrates to one over the grid.
+    row integrates to one over the grid. The kernel is checked once and
+    stored read-only.
     """
 
-    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    grid: StateGrid
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.kernel, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise KernelInvalid("kernel must be square")
+        k = np.array(self.kernel, dtype=float)
+        cells = self.grid.n_cells
+        if k.shape != (cells, cells):
+            raise KernelInvalid(f"kernel must be {cells} x {cells} on its grid, got {k.shape}")
         if np.any(k < 0) or np.any(np.isnan(k)):
             raise KernelInvalid("kernel entries must be nonnegative")
+        residual = np.abs(k.sum(axis=1) * self.grid.cell_volume - 1.0).max()
+        if residual > _KERNEL_TOL:
+            raise KernelInvalid(f"kernel rows integrate to 1 within {residual:.3g} > {_KERNEL_TOL}")
+        k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
-
-    def validate_rows(self, grid: StateGrid) -> None:
-        rows = self.kernel.sum(axis=1) * grid.cell_volume
-        if np.abs(rows - 1.0).max() > _KERNEL_TOL:
-            raise KernelInvalid(
-                f"kernel rows integrate to 1 within {np.abs(rows - 1.0).max():.3g} > {_KERNEL_TOL}"
-            )
 
     @classmethod
     def static(cls, grid: StateGrid) -> "TargetModel":
         """Identity dynamics: the state does not move."""
-        k = np.eye(grid.n_cells) / grid.cell_volume
-        return cls(sample=lambda x, rng: x, kernel=k)
+        return cls(grid, np.eye(grid.n_cells) / grid.cell_volume)
 
     @classmethod
     def gaussian_walk(cls, grid: StateGrid, cov) -> "TargetModel":
@@ -81,13 +79,7 @@ class TargetModel:
         log_k -= log_k.max(axis=1, keepdims=True)
         k = np.exp(log_k)
         k /= k.sum(axis=1, keepdims=True) * grid.cell_volume
-        chol = np.linalg.cholesky(cov)
-
-        def sample(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            noise = rng.standard_normal(x.shape) @ chol.T
-            return np.clip(x + noise, grid.lower, grid.upper)
-
-        return cls(sample=sample, kernel=k)
+        return cls(grid, k)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,8 @@ class AgentState:
 
 def _predict_rows(values: np.ndarray, tm: TargetModel, grid: StateGrid) -> np.ndarray:
     """Stacked posterior values pushed through the kernel, as log rows."""
-    tm.validate_rows(grid)
+    if tm.grid != grid:
+        raise GridMismatch("target model and densities live on different grids")
     vals = values @ tm.kernel
     vals *= grid.cell_volume
     with np.errstate(divide="ignore"):
@@ -183,14 +176,6 @@ def normalized_likelihood(
     return DensityGrid(grid, _likelihood_rows([sm], [y], grid)[0])
 
 
-def _positive_weights(a: np.ndarray) -> np.ndarray:
-    """Fusion weights with entries <= 0 dropped; each row must sum to 1."""
-    a_pos = np.where(a > 0.0, a, 0.0)
-    if not (np.abs(a_pos.sum(axis=1) - 1.0) <= _ROW_TOL).all():
-        raise WeightRowInvalid("fusion weights must be nonnegative and sum to 1")
-    return a_pos
-
-
 def fuse(
     likelihood: DensityGrid,
     likelihood_prev: DensityGrid | None,
@@ -207,10 +192,7 @@ def fuse(
         return likelihood
     if likelihood_prev is None:
         raise ValueError("previous likelihood required after the first tick")
-    weights = np.array([[w for _, w in received]], dtype=float)
-    if np.any(weights < -1e-15):
-        raise WeightRowInvalid("fusion weights must be nonnegative and sum to 1")
-    weights = _positive_weights(weights)
+    weights = _weight_rows([[w for _, w in received]])
     _check_same_grid(likelihood, likelihood_prev, *[u for u, _ in received])
     row = consensus_update(
         np.stack([u.log_values for u, _ in received]),
@@ -276,8 +258,7 @@ def dbf_step(
     if k < 1:
         raise ValueError("tick index is 1 based")
     n = len(agents)
-    a = adjacency.values if hasattr(adjacency, "values") else np.asarray(adjacency, dtype=float)
-    if a.shape != (n, n):
+    if np.shape(getattr(adjacency, "values", adjacency)) != (n, n):
         raise ValueError("adjacency size does not match agent count")
     grid = agents[0].w.grid
     _check_same_grid(*[st.w for st in agents])
@@ -300,12 +281,12 @@ def dbf_step(
     if k == 1:
         log_u = log_l
     else:
-        senders = np.flatnonzero((a > 0.0).any(axis=0))
+        a_pos = _weight_rows(adjacency)
+        senders = np.flatnonzero(a_pos.any(axis=0))
         if any(agents[j].u is None for j in senders):
             raise ValueError("fusion state missing; was tick 1 run?")
         if any(st.l is None for st in agents):
             raise ValueError("previous likelihood required after the first tick")
-        a_pos = _positive_weights(a)
         _check_same_grid(agents[0].w, *[st.l for st in agents], *[agents[j].u for j in senders])
         log_u_prev = np.zeros((n, grid.n_cells))
         for j in senders:
@@ -348,21 +329,15 @@ def multiloop_fuse(
     """Repeated within-tick fusion loops toward the joint likelihood.
 
     Loop 1 sets each agent's fusion state to its own likelihood; every later
-    loop applies the weighted log pool of the neighbors' states, with each
-    agent's positive weights rescaled to sum to one. Returns the per-loop L2
-    norms of the vector of per-agent L1 errors to the joint.
+    loop applies the weighted log pool of the neighbors' states. Returns the
+    per-loop L2 norms of the vector of per-agent L1 errors to the joint.
     """
     if n_loop < 1:
         raise ValueError("n_loop must be at least 1")
     n = len(likelihoods)
-    a = adjacency.values if hasattr(adjacency, "values") else np.asarray(adjacency, dtype=float)
+    mix = _weight_rows(adjacency)
     joint = joint_likelihood(likelihoods)
     grid = joint.grid
-    mix = np.where(a > 0.0, a, 0.0)
-    totals = mix.sum(axis=1, keepdims=True)
-    if not (np.isfinite(totals) & (totals > 0.0)).all():
-        raise ValueError("every agent needs finite positive pool weights")
-    mix /= totals
     log_u = np.stack([p.log_values for p in likelihoods])
     norms = []
     for loop in range(1, n_loop + 1):

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularF, SingularPosterior, SingularR, SingularSum, WeightRowInvalid
+from .errors import SingularF, SingularPosterior, SingularR, SingularSum
+from .topology import _weight_rows
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -184,9 +185,7 @@ def info_fuse(
         u, big_u = i_new, big_i_new
     else:
         stacked = isinstance(received, np.ndarray)
-        w = received if stacked else np.array([[w for _, _, w in received]])
-        if w.min(initial=0.0) < -1e-15 or (np.abs(w.sum(axis=1) - 1.0) > 1e-9).any():
-            raise WeightRowInvalid("fusion weights must be nonnegative and sum to 1")
+        w = _weight_rows(received if stacked else [[a for _, _, a in received]])
         if s.i_prev is None or s.I_prev is None:
             raise ValueError("previous measurement information missing")
         u_prev = s.u if stacked else np.stack([uj for uj, _, _ in received])

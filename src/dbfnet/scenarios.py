@@ -35,7 +35,8 @@ from .density import (
     normalize_rows,
     systematic_indices,
 )
-from .engine import consensus_update, move_fusion_state, power_rows
+from .bounds import multiloop_bound
+from .engine import consensus_update, move_fusion_state, multiloop_fuse, power_rows
 from .errors import ConfigInvalid, DbfError
 from .infofilter import (
     InfoState,
@@ -53,6 +54,7 @@ from .topology import (
     local_degree_weights,
     metropolis_weights,
     random_connected_graph,
+    second_singular_value,
 )
 
 DT_MASTER = 0.01
@@ -72,11 +74,9 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(a), np.cos(a))
 
 
-def bearing(dx: np.ndarray, dy: np.ndarray, printed_order: bool = True) -> np.ndarray:
-    """Bearing of a displacement; printed order measures from the +y axis."""
-    if printed_order:
-        return np.arctan2(dx, dy)
-    return np.arctan2(dy, dx)
+def bearing(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Bearing of a displacement, measured from the +y axis toward +x."""
+    return np.arctan2(dx, dy)
 
 
 def toa_log_likelihood(
@@ -93,18 +93,12 @@ def toa_log_likelihood(
 
 
 def doa_log_likelihood(
-    points: np.ndarray,
-    sensor_pos: np.ndarray,
-    y: float | np.ndarray,
-    sigma_theta: float,
-    printed_order: bool = True,
+    points: np.ndarray, sensor_pos: np.ndarray, y: float | np.ndarray, sigma_theta: float
 ) -> np.ndarray:
     """Unnormalized log likelihood of bearing measurements at (P, 2) points,
     one row per sensor as in ``toa_log_likelihood``."""
     sensor_pos, y = np.asarray(sensor_pos), np.asarray(y)
-    ang = bearing(
-        points[:, 0] - sensor_pos[..., 0, None], points[:, 1] - sensor_pos[..., 1, None], printed_order
-    )
+    ang = bearing(points[:, 0] - sensor_pos[..., 0, None], points[:, 1] - sensor_pos[..., 1, None])
     return -0.5 * (_wrap_angle(y[..., None] - ang) / sigma_theta) ** 2
 
 
@@ -126,7 +120,6 @@ class BenchmarkConfig:
     region: tuple[float, float, float, float] = (0.0, 120.0, 0.0, 120.0)
     comm_radius: float = 40.0
     noise_tau: float = 2.0
-    doa_printed_order: bool = True
     delta_target: float = 1.0
     eta: float = 0.5
     x0: tuple[float, float, float, float] = (25.0, 1.8, 30.0, 1.5)
@@ -293,7 +286,7 @@ def _scenario1_measurements(
     dx, dy = (truth_row[[0, 2]] - layout.positions[: doa.stop]).T
     y = np.empty(doa.stop)
     y[toa] = np.hypot(dx[toa], dy[toa]) + cfg.sigma_r * noise_row[toa, 0]
-    y[doa] = bearing(dx[doa], dy[doa], cfg.doa_printed_order) + cfg.sigma_theta * noise_row[doa, 0]
+    y[doa] = bearing(dx[doa], dy[doa]) + cfg.sigma_theta * noise_row[doa, 0]
     return y
 
 
@@ -314,7 +307,7 @@ def _sensor_log_likelihoods(
     points, one row per sensing agent in agent order: (m, P)."""
     n_toa, pos = cfg.n_toa, layout.positions[: len(y)]
     toa = toa_log_likelihood(points, pos[:n_toa], y[:n_toa], cfg.sigma_r)
-    doa = doa_log_likelihood(points, pos[n_toa:], y[n_toa:], cfg.sigma_theta, cfg.doa_printed_order)
+    doa = doa_log_likelihood(points, pos[n_toa:], y[n_toa:], cfg.sigma_theta)
     return np.concatenate([toa, doa])
 
 
@@ -868,10 +861,6 @@ class MultiloopConfig:
 
 def run_multiloop(cfg: MultiloopConfig) -> RunMetrics:
     """One fusion instant resolved by repeated loops on a random graph."""
-    from .bounds import multiloop_bound
-    from .engine import multiloop_fuse
-    from .topology import second_singular_value
-
     rng = named_stream(cfg.seed, "multiloop")
     grid = StateGrid((-5.0,), (5.0,), (cfg.grid_points,))
     likelihoods = [

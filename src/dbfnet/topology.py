@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Disconnected, DomainError, NotSymmetric
+from .errors import Disconnected, DomainError, NotSymmetric, WeightRowInvalid
 
 _DS_TOL = 1e-12
 _EDGE_TOL = 1e-12
+_ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,21 @@ class AdjacencyMatrix:
     def min_positive(self) -> float:
         pos = self.values[self.values > _EDGE_TOL]
         return float(pos.min()) if pos.size else 0.0
+
+
+def _weight_rows(adjacency: AdjacencyMatrix | np.ndarray) -> np.ndarray:
+    """Fusion weight rows with entries <= 0 set to 0.
+
+    Every entry must be finite and at least -1e-15, and every row must sum to
+    1 within 1e-9; anything else raises ``WeightRowInvalid``.
+    """
+    a = np.asarray(getattr(adjacency, "values", adjacency), dtype=float)
+    rows = np.where(a > 0.0, a, 0.0)
+    # a NaN entry fails the first test, since every comparison with NaN is
+    # false, and a +inf entry fails the row sum
+    if not (a.min(initial=0.0) >= -1e-15 and np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= _ROW_TOL):
+        raise WeightRowInvalid("fusion weights must be finite, at least -1e-15 and sum to 1 in each row")
+    return rows
 
 
 def _degree_weights(g: Digraph, extra: float, require_connected: bool) -> AdjacencyMatrix:
@@ -383,5 +399,6 @@ def load_edge_list(path, n: int | None = None) -> Digraph:
                 raise ValueError(f"{where} names a node at or beyond the {n} agents")
             pairs.append((i, j))
             nodes = max(nodes, i, j)
-    count = n if n is not None else nodes + 1
-    return Digraph.undirected(count, pairs)
+    if n is None and not pairs:
+        raise ValueError(f"{path} lists no edges; give the agent count")
+    return Digraph.undirected(nodes + 1 if n is None else n, pairs)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dbfnet.bounds import ConvergenceParams, steady_state_delta
 from dbfnet.cli import main
 
 WORKED_DELTA = math.e - 1.0
@@ -146,6 +147,14 @@ def test_run_rejects_invalid_scenario_values(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_rejects_the_removed_bearing_option(tmp_path, capsys):
+    code = run_cli(
+        "run", "--config", str(tiny_config(tmp_path)), "--set", "doa_printed_order=false", "--outdir", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 def test_run_rejects_invalid_formation_grid(tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", "formation", "--set", "grid_cells=[64]", "--outdir", str(tmp_path / "x")
@@ -254,6 +263,20 @@ def test_bounds_robust_and_gamma_sections(capsys):
     assert out["sigma_m_bound"] == pytest.approx(math.sqrt(0.2))
 
 
+def test_bounds_robust_minimum_at_or_above_target_is_unreachable(capsys):
+    # the clean minimum stays below the target; the budgets lift the robust one above it at 4e-4
+    p = ConvergenceParams(n=5, b=1, theta_l=4.0, sigma_m=0.4, delta=0.3, eta=0.1, eps_u=1e-4, eps_l=1e-4)
+    args = ("bounds", "-N", "5", "--theta-l", "4", "--sigma-m", "0.4", "--delta", "0.3", "--eta", "0.1")
+    args += ("--eps-u", "0.0001", "--eps-l", "0.0001", "--json")
+    assert run_cli(*args, "--dt-min", "0.0001") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["robust_delta_min"] == steady_state_delta(p, 1e-4) < 0.3
+    assert run_cli(*args, "--dt-min", "0.0004") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unreachable" in captured.err and "robust_delta_min" in captured.err
+
+
 def test_bounds_budget_exhausted_is_exit_two(capsys):
     code = run_cli(
         "bounds",
@@ -330,6 +353,21 @@ def test_graph_check_bad_edge_file_is_exit_two(tmp_path, capsys, lines, extra, n
     assert run_cli("graph-check", str(bad), *extra) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("period", ["0", "-1"])
+def test_graph_check_nonpositive_period_is_exit_two(tmp_path, capsys, period):
+    edges = write_edges(tmp_path / "g.txt", [(0, 1), (1, 2)])
+    assert run_cli("graph-check", str(edges), "-b", period) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_graph_check_edge_file_without_edges_names_the_file(tmp_path, capsys):
+    empty = tmp_path / "e.txt"
+    empty.write_text("# nothing\n", encoding="utf-8")
+    assert run_cli("graph-check", str(empty)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "e.txt" in err
 
 
 def test_graph_check_slots_of_different_sizes_is_exit_two(tmp_path, capsys):

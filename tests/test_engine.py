@@ -25,6 +25,7 @@ from dbfnet.engine import (
     update,
 )
 from dbfnet.errors import GridMismatch, KernelInvalid, WeightRowInvalid
+from dbfnet.infofilter import InfoState, info_fuse
 from dbfnet.pools import bayes_update, joint_likelihood, kl_pool
 from dbfnet.topology import (
     Digraph,
@@ -66,7 +67,7 @@ def test_predict_doubly_stochastic_kernel_keeps_uniform():
     g = grid_1d(0.0, 4.0, 4)
     shift = np.roll(np.eye(4), 1, axis=1)
     k = (0.5 * np.eye(4) + 0.25 * shift + 0.25 * shift.T) / g.cell_volume
-    tm = TargetModel(sample=lambda x, rng: x, kernel=k)
+    tm = TargetModel(g, k)
     out = predict(DensityGrid.uniform(g), tm)
     assert l1_distance(out, DensityGrid.uniform(g)) <= 1e-12
 
@@ -81,13 +82,34 @@ def test_predict_gaussian_convolution():
 def test_kernel_validation():
     g = grid_1d(0.0, 4.0, 4)
     with pytest.raises(KernelInvalid):
-        TargetModel(sample=lambda x, rng: x, kernel=-np.eye(4))
+        TargetModel(g, -np.eye(4))
     with pytest.raises(KernelInvalid):
-        TargetModel(sample=lambda x, rng: x, kernel=np.ones((2, 3)))
-    half_volume = StateGrid((0.0,), (2.0,), (4,))
-    bad = TargetModel(sample=lambda x, rng: x, kernel=np.eye(4))
-    with pytest.raises(KernelInvalid):
-        bad.validate_rows(half_volume)
+        TargetModel(g, np.ones((2, 3)))
+    with pytest.raises(KernelInvalid, match="4 x 4"):
+        TargetModel(g, np.eye(5))
+    # unit rows integrate to 1 on cells of volume 1, to 1/2 on cells of volume 1/2
+    TargetModel(g, np.eye(4))
+    with pytest.raises(KernelInvalid, match="integrate"):
+        TargetModel(StateGrid((0.0,), (2.0,), (4,)), np.eye(4))
+
+
+def test_target_model_kernel_is_read_only():
+    g = grid_1d(0.0, 4.0, 4)
+    k = np.eye(4)
+    tm = TargetModel(g, k)
+    with pytest.raises(ValueError, match="read-only"):
+        tm.kernel[0, 0] = 2.0
+    # the model keeps its own copy of the caller's array
+    k[0, 0] = 2.0
+    assert tm.kernel[0, 0] == 1.0
+    # models compare and hash by identity, never by their kernel arrays
+    assert tm != TargetModel(g, np.eye(4)) and len({tm, tm}) == 1
+
+
+def test_predict_on_another_grid_is_grid_mismatch():
+    tm = TargetModel.static(grid_1d())
+    with pytest.raises(GridMismatch):
+        predict(DensityGrid.uniform(grid_1d(-5.0, 5.0)), tm)
 
 
 # ------------------------------------------------------------- likelihoods
@@ -441,19 +463,66 @@ def test_dbf_step_errors():
         dbf_step(agents, np.array([[0.5, 0.4], [0.5, 0.5]]), 2, None, sms, ys)
     with pytest.raises(WeightRowInvalid):
         dbf_step(agents, np.array([[0.0, 0.0], [0.5, 0.5]]), 2, None, sms, ys)
-    # entries <= 0 are skipped, so a row whose positive part sums to 1 passes
-    dbf_step(agents, np.array([[1.0, -0.5], [0.5, 0.5]]), 2, None, sms, ys)
+    # a negative entry is rejected even when the positive part sums to 1
+    with pytest.raises(WeightRowInvalid):
+        dbf_step(agents, np.array([[1.0, -0.5], [0.5, 0.5]]), 2, None, sms, ys)
     # at tick 1 no weights are read
     dbf_step(fresh, np.array([[0.5, 0.4], [0.5, 0.5]]), 1, None, sms, ys)
-    bad = TargetModel(sample=lambda x, rng: x, kernel=np.eye(g.n_cells))
-    with pytest.raises(KernelInvalid):
-        dbf_step(agents, np.full((2, 2), 0.5), 2, bad, sms, ys)
+    elsewhere = TargetModel.static(grid_1d(-5.0, 5.0))
+    with pytest.raises(GridMismatch):
+        dbf_step(agents, np.full((2, 2), 0.5), 2, elsewhere, sms, ys)
     # a rejected tick index draws no channel noise
     noise = ChannelNoise.from_seed(0.1, 0.1, 5)
     before = noise.rng.bit_generator.state
     with pytest.raises(ValueError, match="1 based"):
         dbf_step(agents, np.full((2, 2), 0.5), 0, None, sms, ys, noise)
     assert noise.rng.bit_generator.state == before
+
+
+# row 0 of a two-agent weight matrix; row 1 is [0.5, 0.5]
+_BAD_ROWS = {
+    "nan": [np.nan, 1.0],
+    "inf": [np.inf, 1.0],
+    "negative": [1.0, -0.5],
+    "sums-to-0.7": [0.4, 0.3],
+}
+
+
+def _fuse_with(a):
+    lik = DensityGrid.gaussian(grid_1d(), 0.0, [[1.0]])
+    fuse(lik, lik, [(lik, w) for w in a[0]], 2)
+
+
+def _dbf_step_with(a):
+    agents, sms, ys = _two_agents(grid_1d())
+    dbf_step(agents, a, 2, None, sms, ys)
+
+
+def _multiloop_fuse_with(a):
+    multiloop_fuse([DensityGrid.gaussian(grid_1d(), m, [[1.0]]) for m in (-1.0, 1.0)], a, 2)
+
+
+def _info_fuse_with(a):
+    s = info_fuse(InfoState.from_moments(np.zeros(1), np.eye(1)), np.ones(1), np.eye(1), [], 1, n_agents=2)
+    info_fuse(s, np.ones(1), np.eye(1), [(s.u, s.U, w) for w in a[0]], 2, n_agents=2)
+
+
+def _stacked_info_fuse_with(a):
+    pairs = np.ones((2, 1)), np.ones((2, 1, 1))
+    s = info_fuse(InfoState(z=np.zeros((2, 1)), Z=np.ones((2, 1, 1))), *pairs, np.full((2, 2), 0.5), 1, 2)
+    info_fuse(s, *pairs, a, 2, 2)
+
+
+@pytest.mark.parametrize("row", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
+@pytest.mark.parametrize(
+    "entry",
+    [_fuse_with, _dbf_step_with, _multiloop_fuse_with, _info_fuse_with, _stacked_info_fuse_with],
+    ids=["fuse", "dbf_step", "multiloop_fuse", "info_fuse", "stacked-info_fuse"],
+)
+def test_every_fusion_entry_rejects_a_bad_weight_row(entry, row):
+    a = np.array([row, [0.5, 0.5]])
+    with pytest.raises(WeightRowInvalid):
+        entry(a)
 
 
 def test_dbf_step_rejects_agents_on_two_grids():

@@ -86,10 +86,9 @@ def grid_2d(half=50.0, n=80):
 
 
 def test_bearing_conventions():
-    # printed order measures from the +y axis toward +x
-    assert bearing(np.array(1.0), np.array(0.0), True) == pytest.approx(math.pi / 2)
-    assert bearing(np.array(0.0), np.array(1.0), True) == pytest.approx(0.0)
-    assert bearing(np.array(1.0), np.array(0.0), False) == pytest.approx(0.0)
+    # bearings are measured from the +y axis toward +x
+    assert bearing(np.array(1.0), np.array(0.0)) == pytest.approx(math.pi / 2)
+    assert bearing(np.array(0.0), np.array(1.0)) == pytest.approx(0.0)
 
 
 def test_toa_mass_concentrates_on_range_circle():
@@ -111,23 +110,18 @@ def test_doa_wedge_follows_printed_axis():
     g = grid_2d()
     sensor = np.array([0.0, 0.0])
     sigma = math.radians(2.0)
-    printed = doa_log_likelihood(g.cells, sensor, 0.0, sigma, True)
+    printed = doa_log_likelihood(g.cells, sensor, 0.0, sigma)
     top = g.cells[np.argsort(printed)[-50:]]
-    # zero bearing in printed order points along +y
+    # zero bearing points along +y
     assert np.all(top[:, 1] > 0)
     assert np.abs(top[:, 0]).max() <= np.abs(top[:, 1]).max()
-    conventional = doa_log_likelihood(g.cells, sensor, 0.0, sigma, False)
-    top_c = g.cells[np.argsort(conventional)[-50:]]
-    assert np.all(top_c[:, 0] > 0)
 
 
 def test_doa_residual_wraps():
     g = grid_2d()
     sigma = math.radians(2.0)
     # measurement just under +pi and displacement just over -pi agree modulo 2 pi
-    near_pi = doa_log_likelihood(
-        np.array([[0.1, -40.0]]), np.zeros(2), math.pi - 0.01, sigma, True
-    )
+    near_pi = doa_log_likelihood(np.array([[0.1, -40.0]]), np.zeros(2), math.pi - 0.01, sigma)
     assert near_pi[0] > -10.0
 
 
@@ -369,7 +363,7 @@ def test_joint_log_likelihood_is_the_agent_order_row_sum():
     expected = [
         float(np.hypot(dx[i], dy[i])) + cfg.sigma_r * noise[5, i, 0]
         if i < cfg.n_toa
-        else float(bearing(dx[i], dy[i], cfg.doa_printed_order)) + cfg.sigma_theta * noise[5, i, 0]
+        else float(bearing(dx[i], dy[i])) + cfg.sigma_theta * noise[5, i, 0]
         for i in range(4)
     ]
     np.testing.assert_array_equal(y, expected)
@@ -379,9 +373,7 @@ def test_joint_log_likelihood_is_the_agent_order_row_sum():
         if i < cfg.n_toa:
             full[i] = toa_log_likelihood(points, layout.positions[i], y_i, cfg.sigma_r)
         else:
-            full[i] = doa_log_likelihood(
-                points, layout.positions[i], y_i, cfg.sigma_theta, cfg.doa_printed_order
-            )
+            full[i] = doa_log_likelihood(points, layout.positions[i], y_i, cfg.sigma_theta)
     np.testing.assert_array_equal(_joint_log_likelihood(cfg, layout, y, points), full.sum(axis=0))
 
 
@@ -393,9 +385,7 @@ def test_stacked_likelihood_rows_equal_one_sensor_calls(n_toa, n_doa):
     y = _scenario1_measurements(cfg, layout, truth[7], noise[7])
     points = np.random.default_rng(4).uniform(-50.0, 150.0, (300, 2))
     toa_rows = toa_log_likelihood(points, layout.positions[:n_toa], y[:n_toa], cfg.sigma_r)
-    doa_rows = doa_log_likelihood(
-        points, layout.positions[n_toa : n_toa + n_doa], y[n_toa:], cfg.sigma_theta, cfg.doa_printed_order
-    )
+    doa_rows = doa_log_likelihood(points, layout.positions[n_toa : n_toa + n_doa], y[n_toa:], cfg.sigma_theta)
     assert toa_rows.shape == (n_toa, 300)
     assert doa_rows.shape == (n_doa, 300)
     for i in range(n_toa):
@@ -403,9 +393,7 @@ def test_stacked_likelihood_rows_equal_one_sensor_calls(n_toa, n_doa):
             toa_rows[i], toa_log_likelihood(points, layout.positions[i], float(y[i]), cfg.sigma_r)
         )
     for i in range(n_doa):
-        one = doa_log_likelihood(
-            points, layout.positions[n_toa + i], float(y[n_toa + i]), cfg.sigma_theta, cfg.doa_printed_order
-        )
+        one = doa_log_likelihood(points, layout.positions[n_toa + i], float(y[n_toa + i]), cfg.sigma_theta)
         np.testing.assert_array_equal(doa_rows[i], one)
 
 

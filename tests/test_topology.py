@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dbfnet.errors import Disconnected, DomainError, NotSymmetric
+from dbfnet.errors import Disconnected, DomainError, NotSymmetric, WeightRowInvalid
 from dbfnet.topology import (
+    _weight_rows,
     AdjacencyMatrix,
     AdjacencySchedule,
     check_assumption1,
@@ -74,6 +75,18 @@ def test_adjacency_validation():
         AdjacencyMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]]))
     with pytest.raises(ValueError):
         AdjacencyMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]))
+
+
+def test_weight_rows_drop_entries_at_or_below_zero():
+    a = np.array([[1.0, -1e-16], [0.5, 0.5]])
+    out = _weight_rows(a)
+    assert out.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+    assert not np.signbit(out).any()
+    w = metropolis_weights(path3())
+    np.testing.assert_array_equal(_weight_rows(w), w.values)
+    for bad in ([[1.0, -1e-14]], [[0.5, 0.5 + 2e-9]], [[np.nan, 1.0]], [[0.0, 0.0]]):
+        with pytest.raises(WeightRowInvalid):
+            _weight_rows(bad)
 
 
 def test_adjacency_support_and_min_positive():
