@@ -214,6 +214,8 @@ def cmd_graph_check(args) -> int:
     weight_fn = {"local-degree": local_degree_weights, "metropolis": metropolis_weights}[
         args.weights
     ]
+    if args.agents is not None and args.agents < 1:
+        raise ConfigInvalid(f"-N must be at least 1, got {args.agents}")
     matrices = []
     for path in args.edges:
         try:

@@ -147,31 +147,51 @@ def _check_same_grid(*objs) -> None:
             raise GridMismatch("operands live on different grids")
 
 
-@dataclass(frozen=True, eq=False)
+def _check_rows(grid: StateGrid, rows: np.ndarray) -> None:
+    """Raise the first failing row's error unless each stack row is a density."""
+    if rows.ndim != 2 or rows.shape[1] != grid.n_cells:
+        raise ValueError("log_values length does not match grid size")
+    # ufunc reductions skip the Python wrappers of ndarray.max and .sum
+    tops = np.maximum.reduce(rows, axis=1)
+    top_list = tops.tolist()
+    if not math.isfinite(sum(top_list)):  # shift by finite values, never inf - inf
+        np.clip(tops, -np.finfo(float).max, np.finfo(float).max, out=tops)
+    shifted = rows - tops[:, None]
+    totals = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    for low, top, total in zip(np.minimum.reduce(rows, axis=1).tolist(), top_list, totals.tolist()):
+        if math.isnan(low):
+            raise ValueError("log density contains NaN")
+        if low < LOG_FLOOR - 1e-9:
+            raise ValueError("density below positivity floor")
+        # max-shifted log mass, compared through expm1 so +800 cannot overflow
+        log_mass = top + math.log(total * grid.cell_volume)
+        if not abs(math.expm1(min(log_mass, 1.0))) <= _MASS_TOL:
+            raise ValueError(f"density has log mass {log_mass!r}, not 0")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DensityGrid:
     """A normalized, floored probability density over a StateGrid."""
 
     grid: StateGrid
     log_values: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        lv = np.asarray(self.log_values, dtype=float).reshape(-1)
-        if lv.shape[0] != self.grid.n_cells:
-            raise ValueError("log_values length does not match grid size")
-        low = lv.min()
-        if np.isnan(low):
-            raise ValueError("log density contains NaN")
-        if low < LOG_FLOOR - 1e-9:
-            raise ValueError("density below positivity floor")
-        # max-shifted log mass, compared through expm1 so +800 cannot overflow
-        top = float(lv.max())
-        log_mass = top
-        if math.isfinite(top):
-            log_mass += math.log(float(np.exp(lv - top).sum()) * self.grid.cell_volume)
-        if not abs(math.expm1(min(log_mass, 1.0))) <= _MASS_TOL:
-            raise ValueError(f"density has log mass {log_mass!r}, not 0")
-        lv.flags.writeable = False
-        object.__setattr__(self, "log_values", lv)
+    def __init__(self, grid: StateGrid, log_values: np.ndarray) -> None:
+        # a copy, so the density does not change with the caller's array
+        lv = np.asarray(log_values, dtype=float).flatten()
+        _check_rows(grid, lv[None])
+        lv.setflags(write=False)
+        self.__dict__.update(grid=grid, log_values=lv)
+
+    @classmethod
+    def rows(cls, grid: StateGrid, stack: np.ndarray) -> list["DensityGrid"]:
+        """Densities viewing the rows of an (m, n_cells) stack, checked once; it turns read-only."""
+        _check_rows(grid, stack)
+        stack.setflags(write=False)
+        out = [object.__new__(cls) for _ in range(len(stack))]
+        for d, row in zip(out, stack):
+            d.__dict__.update(grid=grid, log_values=row)
+        return out
 
     @classmethod
     def from_log(cls, grid: StateGrid, log_values: np.ndarray) -> "DensityGrid":

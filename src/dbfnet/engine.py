@@ -164,7 +164,7 @@ def _likelihood_rows(
 
 def predict(w: DensityGrid, tm: TargetModel) -> DensityGrid:
     """Push a posterior through the transition kernel (Chapman-Kolmogorov)."""
-    return DensityGrid(w.grid, _predict_rows(w.values[None], tm, w.grid)[0])
+    return DensityGrid.rows(w.grid, _predict_rows(w.values[None], tm, w.grid))[0]
 
 
 def normalized_likelihood(
@@ -173,7 +173,7 @@ def normalized_likelihood(
     grid: StateGrid,
 ) -> DensityGrid:
     """Normalized likelihood of a measurement; uniform without a sensor."""
-    return DensityGrid(grid, _likelihood_rows([sm], [y], grid)[0])
+    return DensityGrid.rows(grid, _likelihood_rows([sm], [y], grid))[0]
 
 
 def fuse(
@@ -194,21 +194,20 @@ def fuse(
         raise ValueError("previous likelihood required after the first tick")
     weights = _weight_rows([[w for _, w in received]])
     _check_same_grid(likelihood, likelihood_prev, *[u for u, _ in received])
-    row = consensus_update(
+    return DensityGrid.rows(likelihood.grid, consensus_update(
         np.stack([u.log_values for u, _ in received]),
         likelihood.log_values[None],
         likelihood_prev.log_values[None],
         weights,
         likelihood.grid.cell_volume,
-    )
-    return DensityGrid(likelihood.grid, row[0])
+    ))[0]
 
 
 def power_estimate(u: DensityGrid, n_agents: int) -> DensityGrid:
     """Normalize U^n, the estimate of the joint likelihood."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    return DensityGrid(u.grid, power_rows(u.log_values[None], n_agents, u.grid.cell_volume)[0])
+    return DensityGrid.rows(u.grid, power_rows(u.log_values[None], n_agents, u.grid.cell_volume))[0]
 
 
 @dataclass(frozen=True)
@@ -300,18 +299,17 @@ def dbf_step(
         log_u = consensus_update(log_u_prev, log_l_mixed, log_l_prev, a_pos, vol)
 
     log_t = power_rows(log_u, n, vol)
-    log_w = floor_and_normalize_rows(grid, log_s + log_t)
-    log_joint = floor_and_normalize_rows(grid, log_true.sum(axis=0, keepdims=True))
-    l1 = l1_rows(log_t, log_joint, vol)
+    # the posterior rows, then the joint row
+    post = floor_and_normalize_rows(grid, np.vstack([log_s + log_t, log_true.sum(axis=0)]))
+    l1 = l1_rows(log_t, post[n:], vol)
 
-    new_agents: list[AgentState] = []
-    for i, state in enumerate(agents):
-        l = DensityGrid(grid, log_l[i])
-        u = l if log_u is log_l else DensityGrid(grid, log_u[i])
-        s = state.w if target_model is None else DensityGrid(grid, log_s[i])
-        w = DensityGrid(grid, log_w[i])
-        new_agents.append(AgentState(w=w, s=s, l=l, u=u, t=DensityGrid(grid, log_t[i])))
-    return new_agents, StepDiagnostics(joint=DensityGrid(grid, log_joint[0]), l1_to_joint=l1)
+    # every returned density comes from one stack, checked once
+    checked = DensityGrid.rows(grid, np.concatenate([log_l, log_u, log_s, log_t, post]))
+    l, u, s, t, w = (checked[i * n:(i + 1) * n] for i in range(5))
+    u = l if log_u is log_l else u
+    s = [st.w for st in agents] if target_model is None else s
+    new_agents = [AgentState(w=w[i], s=s[i], l=l[i], u=u[i], t=t[i]) for i in range(n)]
+    return new_agents, StepDiagnostics(joint=checked[-1], l1_to_joint=l1)
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,8 @@ def multiloop_fuse(
             log_u = normalize_rows(mix @ log_u, grid.cell_volume)
         log_t = power_rows(log_u, n, grid.cell_volume)
         norms.append(float(np.linalg.norm(l1_rows(log_t, joint.log_values, grid.cell_volume))))
-    fusion = list(likelihoods) if n_loop == 1 else [DensityGrid(grid, row) for row in log_u]
-    estimates = [DensityGrid(grid, row) for row in log_t]
+    fusion = list(likelihoods) if n_loop == 1 else DensityGrid.rows(grid, log_u)
+    estimates = DensityGrid.rows(grid, log_t)
     return MultiloopResult(fusion=fusion, estimates=estimates, error_norms=np.asarray(norms))
 
 

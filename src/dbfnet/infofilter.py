@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularF, SingularPosterior, SingularR, SingularSum
-from .topology import _weight_rows
+from .topology import AdjacencyMatrix, _weight_rows
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -174,17 +174,17 @@ def info_fuse(
     """Dynamic average consensus on measurement information.
 
     For one agent, ``received`` holds (u_{k-1}^j, U_{k-1}^j, A[i, j]) including
-    the agent's own pair. For a stack it is the (n, n) weight matrix A, which
-    mixes the stack's own consensus pairs of the last tick. At k = 1 the
-    consensus pair is the measurement pair itself. The scaled pair multiplies
-    by the agent count.
+    the agent's own pair. For a stack it is the (n, n) weight matrix A, an
+    array or an AdjacencyMatrix, which mixes the stack's own consensus pairs
+    of the last tick. At k = 1 the consensus pair is the measurement pair
+    itself. The scaled pair multiplies by the agent count.
     """
     if k < 1:
         raise ValueError("tick index is 1 based")
     if k == 1:
         u, big_u = i_new, big_i_new
     else:
-        stacked = isinstance(received, np.ndarray)
+        stacked = isinstance(received, (np.ndarray, AdjacencyMatrix))
         w = _weight_rows(received if stacked else [[a for _, _, a in received]])
         if s.i_prev is None or s.I_prev is None:
             raise ValueError("previous measurement information missing")

@@ -428,3 +428,12 @@ def test_imports_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("agents", ["0", "-2"])
+def test_graph_check_nonpositive_agent_count_names_n(tmp_path, capsys, agents):
+    empty = tmp_path / "e.txt"
+    empty.write_text("# nothing\n", encoding="utf-8")
+    assert run_cli("graph-check", str(empty), "-N", agents) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "-N" in err

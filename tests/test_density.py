@@ -183,6 +183,71 @@ def test_density_grid_checks():
         DensityGrid(g, np.full(g.n_cells, 800.0))
     with pytest.raises(ValueError, match="log mass"):
         DensityGrid(g, np.where(np.arange(g.n_cells) == 2, np.inf, good))
+    with pytest.raises(ValueError, match="grid size"):
+        DensityGrid(g, good[:-1])
+    # the stack constructor takes only (m, n_cells) stacks
+    with pytest.raises(ValueError, match="grid size"):
+        DensityGrid.rows(g, np.zeros((2, g.n_cells + 1)))
+    with pytest.raises(ValueError, match="grid size"):
+        DensityGrid.rows(g, good.copy())
+
+
+def test_density_grid_copies_the_callers_array():
+    g = SMALL
+    x = DensityGrid.uniform(g).log_values.copy()
+    d = DensityGrid(g, x)
+    x[:] = np.nan
+    assert np.isfinite(d.log_values).all()
+
+
+# each case of test_density_grid_checks, made from a good row
+_ROW_CASES = {
+    "good": lambda r: r,
+    "mass+5e-10": lambda r: r + 5e-10,
+    "nan": lambda r: np.where(np.arange(r.size) == 3, np.nan, r),
+    "below-floor": lambda r: np.where(np.arange(r.size) == 0, LOG_FLOOR - 1e-6, r),
+    "mass+2e-9": lambda r: r + 2e-9,
+    "mass-2e-9": lambda r: r - 2e-9,
+    "plus-inf": lambda r: np.where(np.arange(r.size) == 2, np.inf, r),
+    "all-800": lambda r: np.full(r.size, 800.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(_ROW_CASES)), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_stack_check_rejects_exactly_what_the_row_check_rejects(kinds, seed):
+    g = SMALL
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_ROW_CASES[k](floor_and_normalize(g, rng.uniform(-20.0, 5.0, g.n_cells))) for k in kinds])
+    errors = []
+    for row in stack:
+        try:
+            DensityGrid(g, row)
+        except ValueError as exc:
+            errors.append(exc)
+    if not errors:
+        got = DensityGrid.rows(g, stack.copy())
+        assert all(d.log_values.tobytes() == row.tobytes() for d, row in zip(got, stack, strict=True))
+        return
+    # the stack raises what its first failing row raises
+    with pytest.raises(type(errors[0])) as raised:
+        DensityGrid.rows(g, stack)
+    assert str(raised.value) == str(errors[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.sampled_from([24, 48, 257, 4096]),
+    m=st.integers(1, 8),
+    scale=st.sampled_from([1.0, 30.0, 300.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_floor_and_normalize_rows_of_a_merged_stack_is_bitwise_apart(cells, m, scale, seed):
+    g = grid_1d(n=cells)
+    raw = np.random.default_rng(seed).normal(0.0, scale, (m + 1, cells))
+    merged = floor_and_normalize_rows(g, raw.copy())
+    apart = [floor_and_normalize_rows(g, raw[:m].copy()), floor_and_normalize_rows(g, raw[m:].copy())]
+    assert merged.tobytes() == np.concatenate(apart).tobytes()
 
 
 def test_l1_rows_clamps_rounding_overshoot_only():

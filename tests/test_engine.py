@@ -440,6 +440,34 @@ def test_dbf_step_matches_per_agent_reference(n, seed, moving, noisy, ticks):
                 )
 
 
+def _read_only_through(values):
+    """True when an array and every array it views refuse writes."""
+    while values is not None:
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return True
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_every_density_dbf_step_returns_is_read_only(moving):
+    g = grid_1d(-4.0, 4.0, 24)
+    n = 3
+    a = metropolis_weights(Digraph.undirected(n, [(0, 1), (1, 2)])).values
+    tm = TargetModel.gaussian_walk(g, [[0.3]]) if moving else None
+    sms = [gaussian_sensor(1.0)] * n
+    agents = [AgentState.initial(DensityGrid.uniform(g)) for _ in range(n)]
+    for k in range(1, 4):
+        ys = [np.array([0.3 * k - i]) for i in range(n)]
+        agents, diag = dbf_step(agents, a, k, tm, sms, ys)
+        returned = [diag.joint] + [getattr(st, name) for st in agents for name in ("w", "s", "l", "u", "t")]
+        assert all(_read_only_through(d.log_values) for d in returned)
+        with pytest.raises(ValueError):
+            agents[0].w.log_values.base[0, 0] = 0.0
+    result = multiloop_fuse([st.l for st in agents], a, 3)
+    assert all(_read_only_through(d.log_values) for d in result.fusion + result.estimates)
+
+
 def _two_agents(g):
     sms = [gaussian_sensor(1.0)] * 2
     ys = [np.array([0.5]), np.array([-0.5])]

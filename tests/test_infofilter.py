@@ -23,7 +23,7 @@ from dbfnet.infofilter import (
     info_update,
 )
 from dbfnet.pools import bayes_update
-from dbfnet.topology import metropolis_weights, random_connected_graph
+from dbfnet.topology import Digraph, metropolis_weights, random_connected_graph
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -496,6 +496,18 @@ def test_stacked_lone_agent_is_bitwise_centralized():
 def _stack(n, dim=2):
     s = InfoState.from_moments(np.zeros(dim), np.eye(dim))
     return InfoState(z=np.tile(s.z, (n, 1)), Z=np.tile(s.Z, (n, 1, 1)))
+
+
+def test_stacked_fuse_takes_an_adjacency_matrix():
+    n, dim = 2, 2
+    a = metropolis_weights(Digraph.undirected(n, [(0, 1)]))
+    rng = np.random.default_rng(5)
+    first = rng.standard_normal((n, dim)), np.tile(np.eye(dim), (n, 1, 1))
+    second = rng.standard_normal((n, dim)), np.tile(2.0 * np.eye(dim), (n, 1, 1))
+    s = info_fuse(_stack(n, dim), *first, a, 1, n)
+    by_matrix, by_values = (info_fuse(s, *second, w, 2, n) for w in (a, a.values))
+    for name in ("u", "U", "t", "T", "i_prev", "I_prev"):
+        np.testing.assert_array_equal(getattr(by_matrix, name), getattr(by_values, name))
 
 
 def test_stacked_errors():
