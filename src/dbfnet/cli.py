@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .bounds import (
@@ -107,10 +108,10 @@ def _format_value(v) -> str:
 
 
 def write_metrics(path: Path, metrics: RunMetrics) -> None:
-    lines = ["tick,agent,metric,value"]
-    for tick, agent, name, value in metrics.rows:
-        lines.append(f"{tick},{agent},{name},{_format_value(value)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the rows as ``tick,agent,metric,value`` lines; values are floats,
+    printed with 17 significant digits so that they read back exactly."""
+    body = "%d,%d,%s,%.17g\n" * len(metrics.rows) % tuple(chain.from_iterable(metrics.rows))
+    path.write_text("tick,agent,metric,value\n" + body, encoding="utf-8")
 
 
 def _output_dir(cfg: dict, explicit: str | None) -> Path:

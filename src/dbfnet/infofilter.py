@@ -21,7 +21,7 @@ from .topology import AdjacencyMatrix, _weight_rows
 
 
 def _t(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -158,13 +158,14 @@ def info_measurement(y: np.ndarray | None, m: LinearModel, agent: int | np.ndarr
 
     ``agent`` is one index, or an index array of agents with sensors and ``y``
     their equal-size measurements row by row for stacked pairs. One agent
-    without a sensor or a measurement gets the zero pair.
+    without a sensor or a measurement gets the zero pair, an empty index
+    array the empty (0, d) and (0, d, d) pairs.
     """
-    if np.ndim(agent) == 0 and (y is None or m.h[agent] is None):
-        return np.zeros(m.dim), np.zeros((m.dim, m.dim))
+    if np.size(agent) == 0 or np.ndim(agent) == 0 and (y is None or m.h[agent] is None):
+        return np.zeros((*np.shape(agent), m.dim)), np.zeros((*np.shape(agent), m.dim, m.dim))
     rows = np.atleast_1d(agent)
-    iv = _mv(np.stack([m.hr[i] for i in rows]), np.asarray(y, dtype=float).reshape(rows.size, -1))
-    im = np.stack([m.hrh[i] for i in rows])
+    iv = _mv(np.array([m.hr[i] for i in rows]), np.asarray(y, dtype=float).reshape(rows.size, -1))
+    im = np.array([m.hrh[i] for i in rows])
     return iv.reshape(*np.shape(agent), m.dim), im.reshape(*np.shape(agent), m.dim, m.dim)
 
 

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbfnet.bounds import ConvergenceParams, steady_state_delta
-from dbfnet.cli import main
+from dbfnet.cli import _format_value, main, write_metrics
+from dbfnet.scenarios import RunMetrics
 
 WORKED_DELTA = math.e - 1.0
 
@@ -145,6 +148,15 @@ def test_run_rejects_invalid_scenario_values(tmp_path, capsys):
         str(tmp_path / "x"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("scenario, dt, duration", [("benchmark1", "0.5", "0.1"), ("benchmark2", "0.02", "0.001")])
+def test_run_rejects_a_run_of_no_ticks(tmp_path, capsys, scenario, dt, duration):
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", scenario, "--dt", dt, "--set", f"duration={duration}", "--outdir", str(out))
+    assert code == 2
+    assert "at least one dt" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_run_rejects_the_removed_bearing_option(tmp_path, capsys):
@@ -437,3 +449,30 @@ def test_graph_check_nonpositive_agent_count_names_n(tmp_path, capsys, agents):
     assert run_cli("graph-check", str(empty), "-N", agents) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "-N" in err
+
+
+# ------------------------------------------------------------------ metrics
+
+_EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 0.1, 1 / 3]
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_EDGE_VALUES),
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+_rows = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.one_of(st.just(-1), st.integers(-1, 10**4), st.integers(-1, 60).map(np.int64)),
+        st.sampled_from(["sq_err", "trace_p", "l1_to_joint", "self_sq_err", "error_norm"]),
+        _values,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_rows)
+def test_write_metrics_matches_the_per_row_formatter(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    write_metrics(path, RunMetrics(rows=rows, summary={}))
+    expected = "tick,agent,metric,value\n" + "".join(f"{t},{a},{m},{_format_value(v)}\n" for t, a, m, v in rows)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -132,6 +132,9 @@ def test_measurement_missing_sensor_is_zero():
     iv, im = info_measurement(np.array([1.0]), m, 0)
     np.testing.assert_array_equal(iv, np.zeros(2))
     np.testing.assert_array_equal(im, np.zeros((2, 2)))
+    # no sensing rows at all: the empty stacked pairs
+    iv, im = info_measurement(np.zeros((0, 1)), m, np.arange(0))
+    assert iv.shape == (0, 2) and im.shape == (0, 2, 2)
 
 
 def test_measurement_position_only_sensor():

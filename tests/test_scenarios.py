@@ -10,6 +10,7 @@ import pytest
 from dbfnet import scenarios
 from dbfnet.density import StateGrid
 from dbfnet.errors import ConfigInvalid, DbfError
+from dbfnet.infofilter import InfoState, LinearModel, centralized_info_step
 from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
@@ -33,6 +34,7 @@ from dbfnet.scenarios import (
     target_dynamics_cv,
     toa_log_likelihood,
 )
+from dbfnet.streams import named_stream
 from dbfnet.topology import AdjacencySchedule, check_assumption1
 
 
@@ -156,6 +158,22 @@ def test_layout_is_connected_and_balanced():
     assert layout.positions.shape == (8, 2)
     report = check_assumption1(AdjacencySchedule.static(layout.adjacency))
     assert report.connectivity_ok and report.doubly_stochastic_ok
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 40])
+def test_layout_pairs_equal_the_pairwise_loop(seed, monkeypatch):
+    cfg = BenchmarkConfig(seed=seed)
+    seen = []
+    monkeypatch.setattr(scenarios, "_bridge_components", lambda n, pairs, pos: seen.append(list(pairs)) or pairs)
+    positions = benchmark_layout(cfg).positions
+    expected = [
+        (i, j)
+        for i in range(cfg.n_agents)
+        for j in range(i + 1, cfg.n_agents)
+        if np.hypot(*(positions[i] - positions[j])) <= cfg.comm_radius
+    ]
+    assert seen == [expected]
+    assert all(type(i) is int and type(j) is int for i, j in seen[0])
 
 
 def test_master_trajectory_shared_across_intervals():
@@ -463,6 +481,43 @@ def test_scenario2_smoke_metrics():
     assert s["mse_gap"] == pytest.approx(
         abs(s["steady_state_mse"] - s["steady_state_mse_central"])
     )
+
+
+def test_scenario2_runs_without_sensing_agents():
+    cfg = tiny_benchmark(n_toa=0, n_doa=0, dt=0.5, duration=1.0)
+    res = run_benchmark_scenario2(cfg)
+    assert len(res.rows) == cfg.steps * (cfg.n_agents + 1) * 2 == 20
+    assert all(math.isfinite(v) for _, _, _, v in res.rows)
+    assert math.isfinite(res.summary["steady_state_mse"]) and res.summary["steady_state_mse_central"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scenario2_central_rows_are_centralized_info_step(seed):
+    # the centralized filter rides in the agents' stack as its last row; it
+    # must keep every bit of the separate multi-sensor filter
+    cfg = tiny_benchmark(seed=seed, n_agents=9, n_toa=3, n_doa=2, dt=0.05, duration=1.5)
+    res = run_benchmark_scenario2(cfg)
+    truth_m, noise_m = master_trajectory(cfg)
+    n_sensing = cfg.n_toa + cfg.n_doa
+    f, q = target_dynamics_cv(cfg.dt)
+    h_pos = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    sensing = [i < n_sensing for i in range(cfg.n_agents)]
+    model = LinearModel(
+        f=f,
+        q=q,
+        h=tuple(h_pos if s else None for s in sensing),
+        r=tuple(cfg.r_linear * np.eye(2) if s else None for s in sensing),
+    )
+    p0 = np.diag([cfg.prior_pos_sigma**2, cfg.prior_vel_sigma**2] * 2)
+    x0 = truth_m[0] + np.sqrt(np.diag(p0)) * named_stream(cfg.seed, "prior").standard_normal(4)
+    state = InfoState.from_moments(x0, p0)
+    expected = []
+    for k in range(1, cfg.steps + 1):
+        truth_xy = truth_m[k * cfg.stride, [0, 2]]
+        ys = truth_xy + math.sqrt(cfg.r_linear) * noise_m[k * cfg.stride, :n_sensing]
+        x, p, state = centralized_info_step(state, model, ys)
+        expected += [(k, -1, "sq_err", float(((x[::2] - truth_xy) ** 2).sum())), (k, -1, "trace_p", float(np.trace(p)))]
+    assert [row for row in res.rows if row[1] == -1] == expected
 
 
 def test_scenario2_deterministic():
