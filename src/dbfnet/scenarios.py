@@ -8,8 +8,9 @@ for linear position sensors and runs the information-filter specialization.
 The formation task closes the loop: agents steer with artificial potentials
 acting on fused position estimates of one another. Benchmark 1 and
 formation share one fusion kernel (``engine.consensus_update`` and
-``power_rows``) and one particle-bank step, run on the calling thread plus
-at most one pool thread; their outputs do not depend on the thread count.
+``power_rows``) and one particle-bank scheduler: the banks move on a pool
+thread while the calling thread fuses the fields, then both threads weigh
+banks taken from one queue. Their outputs do not depend on the thread count.
 
 All scenarios replay one master trajectory generated at a fine reference
 interval, so runs at different sampling intervals see the same physical
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from queue import Empty, SimpleQueue
 from typing import Callable, Iterator
 
 import numpy as np
@@ -320,10 +322,16 @@ def _joint_log_likelihood(
 def _scenario1_log_likelihoods(
     cfg: BenchmarkConfig, layout: Layout, y: np.ndarray, grid: StateGrid
 ) -> np.ndarray:
-    """Normalized, floored per-agent log likelihoods on the grid's cells."""
+    """Normalized, floored per-agent log likelihoods on the grid's cells.
+
+    The relay agents' rows are one flat field: it is normalized once, as row
+    m after the m sensing rows, and copied to the rest."""
+    m = len(y)
     log_l = np.zeros((cfg.n_agents, grid.n_cells))
-    log_l[: len(y)] = _sensor_log_likelihoods(cfg, layout, y, grid.cells)
-    return normalize_rows(log_l, grid.cell_volume)
+    log_l[:m] = _sensor_log_likelihoods(cfg, layout, y, grid.cells)
+    normalize_rows(log_l[: m + 1], grid.cell_volume)
+    log_l[m + 1 :] = log_l[m : m + 1]
+    return log_l
 
 
 def _linear_motion(f: np.ndarray, chol: np.ndarray, bank, noise, moved) -> None:
@@ -341,103 +349,108 @@ def _drift_motion(drift: np.ndarray, sigma: float, half_width: float, bank, nois
     np.clip(bank, -half_width, half_width, out=bank)
 
 
-def _bank_step(
-    bank: np.ndarray,
-    log_w: np.ndarray,
-    log_likelihood: Callable[[np.ndarray], np.ndarray],
-    motion: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-    positions: slice,
-    rng: np.random.Generator,
-    rough: np.ndarray,
-    scratch: np.ndarray,
-    index: int,
-) -> np.ndarray:
-    """One particle filter tick, in place on a (d, P) bank.
+class _BankScheduler:
+    """One tick of a stack of (d, P) particle banks, in two phases.
 
-    Moves the bank with ``motion(bank, noise, moved)`` on standard normal
-    noise, adds ``log_likelihood`` of the (P, k) particle positions, the
-    bank's rows ``positions``, to the log weights, and when the effective
-    sample size falls below half the bank does a systematic resample with a
-    roughening jitter of scale ``rough`` per row. ``log_w`` is updated in
-    place and the normalized weights are returned. ``scratch`` is a (2, d, P)
-    buffer, ``noise`` and ``moved``, which the motion may overwrite, so that
-    a tick allocates no bank-sized temporaries. Weights with no finite mass
-    (a NaN or +inf increment, or every particle at -inf) raise ``DbfError``
-    naming the bank ``index``.
+    ``move(motions)`` queues every bank's move, ``motions[b](bank, noise,
+    moved)`` on standard normal noise, and starts the pool's threads on the
+    queue, so that the calling thread is free for other work until
+    ``weigh(likelihoods)``. That takes the moves still queued and waits for
+    the rest, then weighs every bank: it adds ``likelihoods[b]`` of the
+    (P, k) particle positions, the bank's rows ``positions``, to the log
+    weights, normalizes them in place, and when the effective sample size
+    falls below half the bank does a systematic resample with a roughening
+    jitter of scale ``rough`` per row; the weighted mean goes into
+    ``means``. The calling thread weighs the last bank (benchmark 1's
+    reference, the heaviest) first and every thread takes the others from
+    one queue. Worker 0 is the calling thread and worker w its (2, d, P)
+    slice of the (W, 2, d, P) ``scratch``, ``noise`` and ``moved``, so that a
+    tick allocates no bank-sized temporaries. A bank's stream draws its move
+    noise before its resample offset and jitter, so the results do not
+    depend on which thread took which bank; numpy releases the GIL in the
+    bank-sized calls. Weights with no finite mass (a NaN or +inf increment,
+    or every particle at -inf) raise ``DbfError`` naming the bank.
     """
-    count = bank.shape[1]
-    noise, moved = scratch
-    motion(bank, rng.standard_normal(out=noise), moved)
-    log_w += log_likelihood(bank[positions].T)
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    mass = w.sum()
-    if not math.isfinite(mass):
-        raise DbfError(f"particle bank {index} has weight mass {mass}")
-    w /= mass
-    log_w -= np.log(mass)
-    if 1.0 / (w @ w) < 0.5 * count:
-        idx = systematic_indices(w, count, rng)
-        rng.standard_normal(out=noise)
-        noise *= rough[:, None]
-        np.take(bank, idx, axis=1, out=moved)
-        np.add(moved, noise, out=bank)
-        w[:] = 1.0 / count
-        log_w[:] = 0.0
-    return w
+
+    def __init__(self, particles, log_w, means, positions, rngs, rough, scratch, pool) -> None:
+        self.particles, self.log_w, self.means = particles, log_w, means
+        self.positions, self.rngs, self.rough = positions, rngs, rough
+        self.scratch, self.pool = scratch, pool
+
+    def move(self, motions: list) -> None:
+        self._motions = motions
+        self._start(range(len(motions)), self._move)
+
+    def weigh(self, likelihoods: list) -> None:
+        self._finish(self._move)
+        self._likelihoods = likelihoods
+        last = len(likelihoods) - 1
+        self._start(range(last), self._weigh)
+        self._finish(self._weigh, first=last)
+
+    def _start(self, banks: range, work: Callable[[int, int], None]) -> None:
+        self._queue = SimpleQueue()
+        for b in banks:
+            self._queue.put(b)
+        workers = range(1, len(self.scratch)) if self.pool is not None else ()
+        self._jobs = [self.pool.submit(self._take, self._queue, work, w) for w in workers]
+
+    def _finish(self, work: Callable[[int, int], None], first: int | None = None) -> None:
+        try:
+            if first is not None:
+                work(first, 0)
+            self._take(self._queue, work, 0)
+        finally:
+            # never leave a job writing into the banks after this returns
+            wait(self._jobs)
+        for job in self._jobs:
+            job.result()
+
+    @staticmethod
+    def _take(queue: SimpleQueue, work: Callable[[int, int], None], worker: int) -> None:
+        while True:
+            try:
+                b = queue.get_nowait()
+            except Empty:
+                return
+            work(b, worker)
+
+    def _move(self, b: int, worker: int) -> None:
+        noise, moved = self.scratch[worker]
+        self._motions[b](self.particles[b], self.rngs[b].standard_normal(out=noise), moved)
+
+    def _weigh(self, b: int, worker: int) -> None:
+        bank, log_w, rng = self.particles[b], self.log_w[b], self.rngs[b]
+        count = bank.shape[1]
+        log_w += self._likelihoods[b](bank[self.positions].T)
+        log_w -= log_w.max()
+        w = np.exp(log_w)
+        mass = w.sum()
+        if not math.isfinite(mass):
+            raise DbfError(f"particle bank {b} has weight mass {mass}")
+        w /= mass
+        log_w -= np.log(mass)
+        if 1.0 / (w @ w) < 0.5 * count:
+            noise, moved = self.scratch[worker]
+            idx = systematic_indices(w, count, rng)
+            rng.standard_normal(out=noise)
+            noise *= self.rough[:, None]
+            np.take(bank, idx, axis=1, out=moved)
+            np.add(moved, noise, out=bank)
+            w[:] = 1.0 / count
+            log_w[:] = 0.0
+        self.means[b] = bank @ w
 
 
 @contextmanager
-def _bank_workers(bank_shape: tuple) -> Iterator[tuple[np.ndarray, ThreadPoolExecutor | None]]:
-    """``_step_banks``' scratch and pool: the calling thread plus at most one
-    pool thread, none when the process may use one CPU; the thread ends with the block."""
-    workers = min(2, len(os.sched_getaffinity(0)))
+def _bank_workers(particles, log_w, means, positions, rngs, rough) -> Iterator[_BankScheduler]:
+    """A ``_BankScheduler`` on the calling thread plus at most one pool thread,
+    none when the process may use one CPU; the thread ends with the block."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(2, usable)
+    scratch = np.empty((workers, 2) + particles.shape[1:])
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        yield np.empty((workers, 2) + tuple(bank_shape)), pool
-
-
-def _step_banks(
-    particles: np.ndarray,
-    log_w: np.ndarray,
-    means: np.ndarray,
-    likelihoods: list,
-    motions: list,
-    positions: slice,
-    rngs: list,
-    rough: np.ndarray,
-    scratch: np.ndarray,
-    pool: ThreadPoolExecutor | None,
-) -> None:
-    """``_bank_step`` every bank and store its weighted mean in ``means``.
-
-    Bank b runs on worker b mod W with that worker's (2, d, P) slice of the
-    (W, 2, d, P) ``scratch``. Worker 0 is the calling thread and the others
-    run on ``pool``, or after worker 0 when ``pool`` is None. Each bank has
-    its own stream, rows and scratch, so the results do not depend on the
-    split, and numpy releases the GIL in the bank-sized calls.
-    """
-    workers = len(scratch)
-
-    def share(worker: int) -> None:
-        for b in range(worker, len(likelihoods), workers):
-            bank = particles[b]
-            w = _bank_step(
-                bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch[worker], b
-            )
-            means[b] = bank @ w
-
-    if pool is None:
-        for worker in range(workers):
-            share(worker)
-        return
-    others = [pool.submit(share, worker) for worker in range(1, workers)]
-    try:
-        share(0)
-    finally:
-        # never leave a share writing into the banks after this returns
-        wait(others)
-    for job in others:
-        job.result()
+        yield _BankScheduler(particles, log_w, means, positions, rngs, rough, scratch, pool)
 
 
 def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
@@ -482,14 +495,12 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     log_u = None
     log_l_prev = None
     y_prev = None
-    rows: list = []
     estimates = np.empty((cfg.steps, n, 2))
     truth_used = np.empty((cfg.steps, 4))
-    max_l1 = np.empty(cfg.steps)
-    sq_err = np.empty((cfg.steps, n))
+    sq_err, l1 = np.empty((cfg.steps, n)), np.empty((cfg.steps, n))
     c_sq_err = np.empty(cfg.steps)
 
-    with _bank_workers(particles.shape[1:]) as (scratch, pool):
+    with _bank_workers(particles, log_w, means, positions, rngs, rough) as banks:
         for k in range(1, cfg.steps + 1):
             t_idx = k * cfg.stride
             truth_row = truth_m[t_idx]
@@ -497,8 +508,10 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             y = _scenario1_measurements(cfg, layout, truth_row, noise_m[t_idx])
 
             # re-centre the window, in whole cells, on the network mean of the
-            # agents' predicted means
+            # agents' predicted means; the banks then move on the pool thread
+            # while this thread builds the fused fields
             frame = (f @ means[:n].mean(axis=0))[::2]
+            banks.move(motions)
             new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
             if offset is None or (new_offset != offset).any():
                 grid = cfg.position_grid(tuple(new_offset))
@@ -517,27 +530,28 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             y_prev = y
 
             log_joint = normalize_rows(log_l.sum(axis=0), vol)
-            l1 = l1_rows(log_t, log_joint, vol)
-            max_l1[k - 1] = l1.max()
+            l1[k - 1] = l1_rows(log_t, log_joint, vol)
 
-            # particle filters, one bank at a time per worker so that its
-            # arrays stay in cache: agents weight by their fused field, the
+            # particle filters: agents weight by their fused field, the
             # reference by the exact likelihoods of every measurement
             likelihoods = [partial(grid.log_interp, log_t[i]) for i in range(n)]
             likelihoods.append(partial(_joint_log_likelihood, cfg, layout, y))
-            _step_banks(
-                particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch, pool
-            )
+            banks.weigh(likelihoods)
             est = means[:n, ::2]
             estimates[k - 1] = est
             sq_err[k - 1] = ((est - truth_row[[0, 2]]) ** 2).sum(axis=1)
             c_sq_err[k - 1] = float(((means[n, ::2] - truth_row[[0, 2]]) ** 2).sum())
 
-            for i in range(n):
-                rows.append((k, i, "sq_err", float(sq_err[k - 1, i])))
-                rows.append((k, i, "l1_to_joint", float(l1[i])))
-            rows.append((k, -1, "sq_err", c_sq_err[k - 1]))
-
+    # per tick: each agent's sq_err and l1_to_joint, then the reference's sq_err
+    width = 2 * n + 1
+    ticks = np.repeat(np.arange(1, cfg.steps + 1), width).tolist()
+    ids = np.tile(np.append(np.repeat(np.arange(n), 2), -1), cfg.steps).tolist()
+    names = (["sq_err", "l1_to_joint"] * n + ["sq_err"]) * cfg.steps
+    values = np.column_stack((np.stack((sq_err, l1), axis=-1).reshape(cfg.steps, -1), c_sq_err))
+    values = values.ravel().tolist()
+    values[2 * n :: width] = c_sq_err  # the reference's values are np.float64 scalars
+    rows = list(zip(ticks, ids, names, values))
+    max_l1 = l1.max(axis=1)
     steady = slice(int(math.floor(0.75 * cfg.steps)), cfg.steps)
     summary = {
         "scenario": "benchmark1",
@@ -768,8 +782,16 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     anchor = None
 
     rows: list = []
-    with _bank_workers(particles.shape[1:]) as (scratch, pool):
+    with _bank_workers(particles, log_w, means, slice(None), rngs, rough) as banks:
         for k in range(1, cfg.ticks + 1):
+            # predict each instance with the control its target presumably
+            # applied; the banks move on the pool thread while this thread
+            # builds the fused fields
+            applied = _formation_controls(est, prev_neighbors, cfg) if k > 1 else np.zeros((n, n, 2))
+            applied[diag, diag] = prev_controls
+            banks.move(
+                [partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in applied.reshape(-1, 2)]
+            )
             neighbors = _nearest_two(pos, prev_neighbors)
             # agent i ranges its two nearest neighbors; the bridges only carry messages
             sensing = [(i, j) for i in range(n) for j in neighbors[i]]
@@ -804,16 +826,7 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             log_t = power_rows(log_u, n, vol)
             log_l_prev = log_l
 
-            # predict each instance with the control its target presumably applied
-            applied = _formation_controls(est, prev_neighbors, cfg) if k > 1 else np.zeros((n, n, 2))
-            applied[diag, diag] = prev_controls
-            motions = [
-                partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in applied.reshape(-1, 2)
-            ]
-            likelihoods = [partial(grid.log_interp, row) for row in log_t.reshape(n * n, -1)]
-            _step_banks(
-                particles, log_w, means, likelihoods, motions, slice(None), rngs, rough, scratch, pool
-            )
+            banks.weigh([partial(grid.log_interp, row) for row in log_t.reshape(n * n, -1)])
 
             controls = _formation_controls(est, neighbors, cfg)[diag, diag]
             pos = np.clip(pos + cfg.dt * controls, -hw, hw)

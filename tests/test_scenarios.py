@@ -1,27 +1,28 @@
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
 import pytest
 
-from dbfnet import scenarios
-from dbfnet.density import StateGrid
+from dbfnet import cli, scenarios
+from dbfnet.density import StateGrid, normalize_rows, systematic_indices
 from dbfnet.errors import ConfigInvalid, DbfError
 from dbfnet.infofilter import InfoState, LinearModel, centralized_info_step
 from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
     MultiloopConfig,
-    _bank_step,
+    _BankScheduler,
     _drift_motion,
     _joint_log_likelihood,
     _linear_motion,
     _observed_kappa,
     _scenario1_measurements,
-    _step_banks,
     apf_term,
     bearing,
     benchmark_layout,
@@ -235,22 +236,35 @@ def _drift_bank(count=200, seed=5):
     return bank, motion, slice(None), rough, move
 
 
-def _bank_inputs(make_bank=_cv_bank, count=200):
+def _scheduler(particles, log_w, positions, rngs, rough, pool=None, workers=1):
+    """A scheduler over a (B, d, P) stack; its means start as NaN."""
+    means = np.full(particles.shape[:2], np.nan)
+    scratch = np.empty((workers, 2) + particles.shape[1:])
+    return _BankScheduler(particles, log_w, means, positions, rngs, rough, scratch, pool)
+
+
+def _step_one(make_bank, likelihood, rng, count=200):
+    """One tick of one bank on the calling thread: the bank, its log weights,
+    its mean, its roughening scales and its move written out for given noise."""
     bank, motion, positions, rough, move = make_bank(count)
-    return bank, np.zeros(count), motion, positions, rough, np.empty((2,) + bank.shape), move
+    log_w = np.zeros(count)
+    banks = _scheduler(bank[None], log_w[None], positions, [rng], rough)
+    banks.move([motion])
+    banks.weigh([likelihood])
+    return bank, log_w, banks.means[0], rough, move
 
 
 @pytest.mark.parametrize("make_bank", [_cv_bank, _drift_bank], ids=["cv", "drift"])
 def test_bank_step_flat_increment_keeps_uniform_weights(make_bank):
-    bank, log_w, motion, positions, rough, scratch, move = _bank_inputs(make_bank)
-    expected = move(np.random.default_rng(9).standard_normal(bank.shape))
+    before, _, _, _, move = make_bank()
+    expected = move(np.random.default_rng(9).standard_normal(before.shape))
     rng = np.random.default_rng(9)
-    w = _bank_step(bank, log_w, _flat, motion, positions, rng, rough, scratch, 0)
-    np.testing.assert_allclose(w, 1.0 / bank.shape[1], rtol=1e-12)
+    bank, log_w, mean, _, _ = _step_one(make_bank, _flat, rng)
     # normalized in place, not reset: a resample would leave 0
     np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
     # no resample: the bank is the propagated one and the stream drew only the noise
     np.testing.assert_allclose(bank, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mean, bank.mean(axis=1), rtol=1e-12, atol=1e-12)
     rest = np.random.default_rng(9)
     rest.standard_normal(bank.shape)
     assert rng.uniform() == rest.uniform()
@@ -268,15 +282,14 @@ def _collapse(points):
 
 
 def test_bank_step_collapse_resamples_in_place():
-    bank, log_w, motion, positions, rough, scratch, move = _bank_inputs()
+    before, _, _, _, move = _cv_bank()
+    propagated = move(np.random.default_rng(2).standard_normal(before.shape))
+    bank, log_w, mean, rough, _ = _step_one(_cv_bank, _collapse, np.random.default_rng(2))
     count = bank.shape[1]
-    propagated = move(np.random.default_rng(2).standard_normal(bank.shape))
-    before = bank.copy()
-    w = _bank_step(bank, log_w, _collapse, motion, positions, np.random.default_rng(2), rough, scratch, 0)
     assert not np.array_equal(bank, before)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(w, 1.0 / count)
     np.testing.assert_array_equal(log_w, 0.0)
+    # the mean weighs every particle alike
+    np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
     # every particle is a roughened copy of the one that carried the weight
     spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
     assert np.all(spread < 8.0 * rough)
@@ -291,82 +304,252 @@ _NON_FINITE = [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)
     + [pytest.param(v, e, _drift_bank, id=f"{v}-{e}-drift") for v, e in _NON_FINITE],
 )
 def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
-    bank, log_w, motion, positions, rough, scratch, _ = _bank_inputs(make_bank)
+    bank, motion, positions, rough, _ = make_bank()
+    particles = np.stack([bank] * 5)
+    rngs = [np.random.default_rng(b) for b in range(5)]
+    banks = _scheduler(particles, np.zeros((5, bank.shape[1])), positions, rngs, rough)
 
     def increment(points):
         inc = np.zeros(len(points))
         inc[slice(None) if everywhere else 7] = value
         return inc
 
+    banks.move([motion] * 5)
     with np.errstate(invalid="ignore"), pytest.raises(DbfError, match="particle bank 3 "):
-        _bank_step(bank, log_w, increment, motion, positions, np.random.default_rng(1), rough, scratch, 3)
+        banks.weigh([_flat, _flat, _flat, increment, _flat])
 
 
-def _step_banks_run(pool, workers=2, fail=None):
-    """Step 12 banks four ticks; banks 1, 2, 5, 6, 9 and 10 resample, the others do not."""
-    banks, count = 12, 2000
-    particles = np.random.default_rng(13).standard_normal((banks, 4, count))
-    log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (banks, count))
-    means = np.zeros((banks, 4))
+def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough, scratch, index):
+    """One bank moved and weighed in a single call, bank after bank: the reference for the scheduler's bits."""
+    count = bank.shape[1]
+    noise, moved = scratch
+    motion(bank, rng.standard_normal(out=noise), moved)
+    log_w += log_likelihood(bank[positions].T)
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    mass = w.sum()
+    if not math.isfinite(mass):
+        raise DbfError(f"particle bank {index} has weight mass {mass}")
+    w /= mass
+    log_w -= np.log(mass)
+    if 1.0 / (w @ w) < 0.5 * count:
+        idx = systematic_indices(w, count, rng)
+        rng.standard_normal(out=noise)
+        noise *= rough[:, None]
+        np.take(bank, idx, axis=1, out=moved)
+        np.add(moved, noise, out=bank)
+        w[:] = 1.0 / count
+        log_w[:] = 0.0
+    return w
+
+
+def _oracle_step_banks(particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch):
+    for b, bank in enumerate(particles):
+        w = _oracle_bank_step(bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch, b)
+        means[b] = bank @ w
+
+
+_BANKS, _COUNT = 12, 2000
+
+
+def _bank_stack():
+    """12 banks and their inputs; banks 1, 2, 5, 6, 9 and 10 resample, the others do not."""
+    particles = np.random.default_rng(13).standard_normal((_BANKS, 4, _COUNT))
+    log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (_BANKS, _COUNT))
     f, q = target_dynamics_cv(0.1)
-    motions = [partial(_linear_motion, f, np.linalg.cholesky(q))] * banks
+    motions = [partial(_linear_motion, f, np.linalg.cholesky(q))] * _BANKS
     rough = np.array([0.5, 0.1, 0.5, 0.1])
-    rngs = [np.random.default_rng(100 + b) for b in range(banks)]
-    likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(banks)]
-    if fail is not None:
-        likelihoods[1] = fail
-    scratch = np.empty((workers, 2, 4, count))
-    for _ in range(4):
-        _step_banks(
-            particles, log_w, means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch, pool
-        )
-    return particles, log_w, means
+    rngs = [np.random.default_rng(100 + b) for b in range(_BANKS)]
+    likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(_BANKS)]
+    return particles, log_w, motions, rough, rngs, likelihoods
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+def _field_work():
+    """Bank-free numpy work for the calling thread between the two phases."""
+    return float(np.sort(np.random.default_rng(0).standard_normal(20_000)).sum())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_step_banks_pool_is_bit_equal_to_serial(workers):
+    particles, log_w, motions, rough, rngs, likelihoods = _bank_stack()
     # three workers are more threads than a 2-core box has cores, and a short
     # switch interval makes them interleave often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            pooled = _step_banks_run(pool, workers)
+        with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+            banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, workers)
+            for _ in range(4):
+                banks.move(motions)
+                _field_work()
+                banks.weigh(likelihoods)
     finally:
         sys.setswitchinterval(interval)
-    for serial in (_step_banks_run(None, workers), _step_banks_run(None, workers=1)):
-        for got, want in zip(pooled, serial):
-            np.testing.assert_array_equal(got, want)
-    _, log_w, means = pooled
-    assert [bool((row == 0.0).all()) for row in log_w] == [b % 4 in (1, 2) for b in range(12)]
-    assert np.isfinite(means).all()
+    want, want_log_w, motions, rough, rngs, likelihoods = _bank_stack()
+    want_means = np.empty((_BANKS, 4))
+    scratch = np.empty((2, 4, _COUNT))
+    for _ in range(4):
+        _oracle_step_banks(want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch)
+    np.testing.assert_array_equal(particles, want)
+    np.testing.assert_array_equal(log_w, want_log_w)
+    np.testing.assert_array_equal(banks.means, want_means)
+    assert [bool((row == 0.0).all()) for row in log_w] == [b % 4 in (1, 2) for b in range(_BANKS)]
+
+
+def _fail_on_pool(phase):
+    """Step 12 banks one tick on two threads with the motions (``phase`` move)
+    or the likelihoods (``phase`` weigh) raising on the pool thread alone."""
+    # the calling thread waits until the pool thread has failed, so a bank is
+    # sure to have been taken there
+    particles, log_w, motions, rough, rngs, likelihoods = _bank_stack()
+    caller, failed = threading.get_ident(), threading.Event()
+
+    def on_pool(work):
+        def call(*args):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError(f"{phase} failed")
+            # the calling thread weighs the last bank first; it holds it until
+            # the pool thread has failed on another
+            if phase == "weigh" and not failed.wait(10.0):
+                raise AssertionError("the pool thread took no bank")
+            return work(*args)
+
+        return call
+
+    if phase == "move":
+        motions = [on_pool(m) for m in motions]
+    else:
+        likelihoods = [on_pool(lik) for lik in likelihoods]
+    with ThreadPoolExecutor(1) as pool:
+        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, 2)
+        banks.move(motions)
+        if phase == "move":
+            assert failed.wait(10.0)
+        with pytest.raises(RuntimeError, match=f"{phase} failed"):
+            banks.weigh(likelihoods)
+        # every job has ended: nothing writes into the banks after the call
+        assert all(job.done() for job in banks._jobs)
+        snapshot = particles.copy(), log_w.copy()
+        time.sleep(0.05)
+        np.testing.assert_array_equal(particles, snapshot[0])
+        np.testing.assert_array_equal(log_w, snapshot[1])
 
 
 def test_step_banks_pool_error_reaches_caller():
-    threads = []
+    for phase in ("move", "weigh"):
+        _fail_on_pool(phase)
 
-    def fail(points):
-        threads.append(threading.get_ident())
-        raise RuntimeError("increment failed")
+
+def test_step_banks_caller_weighs_last_bank_first_and_waits_on_error():
+    # the calling thread weighs the last bank, benchmark 1's reference, before
+    # any other; when that fails, the call still waits for the pool thread
+    particles, log_w, motions, rough, rngs, _ = _bank_stack()
+    caller, started = threading.get_ident(), threading.Event()
+    on_caller = []
+
+    def likelihood(b, points):
+        if threading.get_ident() == caller:
+            on_caller.append(b)
+            if not started.wait(10.0):
+                raise AssertionError("the pool thread took no bank")
+            raise RuntimeError("weigh failed")
+        started.set()
+        time.sleep(0.005)
+        return np.zeros(len(points))
 
     with ThreadPoolExecutor(1) as pool:
-        with pytest.raises(RuntimeError, match="increment failed"):
-            _step_banks_run(pool, fail=fail)
-    assert threads and threads[0] != threading.get_ident()
+        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, 2)
+        banks.move(motions)
+        with pytest.raises(RuntimeError, match="weigh failed"):
+            banks.weigh([partial(likelihood, b) for b in range(_BANKS)])
+        assert on_caller == [_BANKS - 1]
+        assert all(job.done() for job in banks._jobs)
+        snapshot = log_w.copy()
+        time.sleep(0.05)
+        np.testing.assert_array_equal(log_w, snapshot)
+        # the pool thread weighed every other bank
+        assert np.isfinite(banks.means[:-1]).all() and np.isnan(banks.means[-1]).all()
+
+
+def test_step_banks_field_error_leaves_no_moves_running(monkeypatch):
+    # two usable CPUs give the scheduler its pool thread on any box
+    monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0, 1})
+    particles, log_w, motions, rough, rngs, _ = _bank_stack()
+    moves = []
+
+    def slow(*args):
+        time.sleep(0.005)
+        moves.append(threading.get_ident())
+        return motions[0](*args)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="fields failed"):
+        with scenarios._bank_workers(particles, log_w, np.empty((_BANKS, 4)), slice(None, None, 2), rngs, rough) as banks:
+            banks.move([slow] * _BANKS)
+            raise RuntimeError("fields failed")
+    assert threading.active_count() == before
+    # the pool thread finished the moves it had queued before the block ended
+    assert len(moves) == _BANKS and threading.get_ident() not in moves
+    snapshot = particles.copy()
+    time.sleep(0.05)
+    np.testing.assert_array_equal(particles, snapshot)
+    assert len(moves) == _BANKS
 
 
 def test_scenario1_leaves_no_threads(monkeypatch):
-    # five agents put the centralized reference, bank 5, on the pool thread
     cfg = tiny_benchmark(dt=0.5, duration=2.0, n_agents=5)
     before = threading.active_count()
     run_benchmark_scenario1(cfg)
     assert threading.active_count() == before
-    monkeypatch.setattr(
-        scenarios, "_joint_log_likelihood", lambda cfg, layout, y, points: np.full(len(points), np.nan)
-    )
-    with pytest.raises(DbfError, match="particle bank 5 "):
+    # the reference, bank 5, is weighed on the calling thread; agent 1's bank
+    # on whichever thread takes it from the queue
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "_joint_log_likelihood", lambda cfg, layout, y, points: np.full(len(points), np.nan))
+        with pytest.raises(DbfError, match="particle bank 5 "):
+            run_benchmark_scenario1(cfg)
+    assert threading.active_count() == before
+    power_rows = scenarios.power_rows
+
+    def broken(log_u, n_agents, cell_volume):
+        log_t = power_rows(log_u, n_agents, cell_volume)
+        log_t[1] = np.nan
+        return log_t
+
+    monkeypatch.setattr(scenarios, "power_rows", broken)
+    with pytest.raises(DbfError, match="particle bank 1 "):
         run_benchmark_scenario1(cfg)
     assert threading.active_count() == before
+
+
+def test_scenario1_metric_rows_per_tick():
+    cfg = tiny_benchmark(n_agents=5)
+    res = run_benchmark_scenario1(cfg)
+    n, width = cfg.n_agents, 2 * cfg.n_agents + 1
+    per_tick = [(i, m) for i in range(n) for m in ("sq_err", "l1_to_joint")] + [(-1, "sq_err")]
+    assert [row[:3] for row in res.rows] == [(k, i, m) for k in range(1, cfg.steps + 1) for i, m in per_tick]
+    assert all(type(k) is int and type(i) is int for k, i, _, _ in res.rows)
+    # the agents' values are Python floats, the reference's np.float64 scalars
+    assert {type(row[3]) for j, row in enumerate(res.rows) if j % width < 2 * n} == {float}
+    assert {type(row[3]) for j, row in enumerate(res.rows) if j % width == 2 * n} == {np.float64}
+    sq_err = ((res.estimates - res.truth[:, None, [0, 2]]) ** 2).sum(axis=-1)
+    assert [row[3] for row in res.rows if row[1] >= 0 and row[2] == "sq_err"] == sq_err.ravel().tolist()
+
+
+@pytest.mark.parametrize("n_toa, n_doa", [(0, 0), (2, 1), (3, 3)], ids=["m=0", "m=3", "m=n"])
+def test_scenario1_log_likelihoods_equal_full_stack_normalize(n_toa, n_doa):
+    # the relay rows are normalized once and copied: bit for bit the
+    # normalize of the whole stack, with every relay row a zero field
+    cfg = tiny_benchmark(n_agents=6, n_toa=n_toa, n_doa=n_doa, grid_cells=(64, 64))
+    layout = benchmark_layout(cfg)
+    truth, noise = master_trajectory(cfg)
+    y = _scenario1_measurements(cfg, layout, truth[40], noise[40])
+    grid = cfg.position_grid((3, -2))
+    full = np.zeros((cfg.n_agents, grid.n_cells))
+    full[: len(y)] = scenarios._sensor_log_likelihoods(cfg, layout, y, grid.cells)
+    got = scenarios._scenario1_log_likelihoods(cfg, layout, y, grid)
+    assert got.shape == full.shape
+    assert got.tobytes() == normalize_rows(full, grid.cell_volume).tobytes()
 
 
 def test_joint_log_likelihood_is_the_agent_order_row_sum():
@@ -643,8 +826,26 @@ def test_formation_deterministic(monkeypatch):
     assert a.rows == b.rows == c.rows
 
 
+@pytest.mark.parametrize("scenario", ["benchmark1", "formation"])
+def test_bank_workers_without_affinity_call(scenario, tmp_path, monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the CPU count sets the workers
+    small = {
+        "benchmark1": ["--dt", "0.5", "--set", "duration=2", "--set", "particles=500", "--set", "n_agents=12"],
+        "formation": ["--set", "n_agents=3", "--set", "ticks=8", "--set", "particles=200"],
+    }[scenario]
+    argv = ["run", "--scenario", scenario, "--seed", "2", *small, "--outdir"]
+    assert cli.main([*argv, str(tmp_path / "affinity")]) == 0
+    counted = []
+    monkeypatch.delattr(scenarios.os, "sched_getaffinity")
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: counted.append(2) or 2)
+    assert cli.main([*argv, str(tmp_path / "count")]) == 0
+    assert counted
+    for name in ("metrics.csv", "summary.json"):
+        assert (tmp_path / "count" / name).read_bytes() == (tmp_path / "affinity" / name).read_bytes()
+
+
 def test_formation_leaves_no_threads(monkeypatch):
-    # four agents put bank 5, agent 1's filter of agent 1, on the pool thread
+    # bank 5, agent 1's filter of agent 1, is weighed on whichever thread takes it
     cfg = FormationConfig(seed=5, n_agents=4, particles=150, ticks=4, grid_cells=(32, 32))
     before = threading.active_count()
     run_formation(cfg)
