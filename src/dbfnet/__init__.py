@@ -2,16 +2,12 @@
 
 from .density import (
     DensityGrid,
-    LogRatioField,
     StateGrid,
-    find_psi,
     kl_divergence,
     l1_distance,
-    log_ratio,
-    normalize,
     tv_distance,
 )
-from .pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, linop, logop
+from .pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, logop
 from .topology import (
     AdjacencyMatrix,
     AdjacencySchedule,

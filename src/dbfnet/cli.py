@@ -261,7 +261,10 @@ def cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigInvalid("sweep needs at least one value")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [int(cfg.get("seed", 1))]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.get("seed", 1)]
+    except ValueError:
+        raise ConfigInvalid(f"--seeds must be comma separated integers, got {args.seeds!r}") from None
     root = Path(args.outdir) if args.outdir else _output_dir(cfg, None).parent / "sweep"
     root.mkdir(parents=True, exist_ok=True)
 

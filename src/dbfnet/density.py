@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllZero, DbfError, GridMismatch, OutOfBounds
+from .errors import AllZero, DbfError, GridMismatch
 
 POSITIVITY_FLOOR = 1e-300
 LOG_FLOOR = float(np.log(POSITIVITY_FLOOR))
@@ -80,27 +80,6 @@ class StateGrid:
         """All cell centers as an (n_cells, ndim) array in C order."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
-    def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cell indices for points, clipping to the boundary cells."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (p - np.asarray(self.lower)) / self.widths
-        idx = np.clip(np.floor(rel).astype(int), 0, np.asarray(self.points) - 1)
-        flat = np.ravel_multi_index(tuple(idx.T), self.points)
-        return flat if np.asarray(points).ndim > 1 else flat[0]
-
-    def locate(self, point: np.ndarray) -> int:
-        """Flat cell index of a point, raising OutOfBounds outside the box."""
-        if not self.contains(point):
-            raise OutOfBounds(f"point {np.asarray(point)} outside grid box")
-        return int(self.cell_index(np.asarray(point)))
-
-    def point_at(self, flat_index: int) -> np.ndarray:
-        return self.cells[int(flat_index)].copy()
 
     def log_interp(self, log_values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a per-cell field at arbitrary points.
@@ -244,8 +223,8 @@ def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarra
     """Checked :func:`floor_and_normalize` of stacked fields, in place.
 
     Each row of the (m, n_cells) float array goes through
-    :func:`normalize_rows` twice. Raises ValueError on a wrong row length
-    or a NaN, and AllZero when a row carries no mass.
+    :func:`normalize_rows` twice. Raises ValueError on a wrong row length,
+    a NaN or a +inf cell, and AllZero when a row carries no mass.
     """
     if log_rows.ndim != 2 or log_rows.shape[1] != grid.n_cells:
         raise ValueError("log_values length does not match grid size")
@@ -253,6 +232,8 @@ def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarra
     if np.isnan(top).any():
         raise ValueError("log density contains NaN")
     if not np.isfinite(top).all():
+        if np.isposinf(top).any():
+            raise ValueError("density has log mass inf: a cell is +inf")
         raise AllZero("density has no mass to normalize")
     # the second pass keeps test_normalize_scale_invariant bit for bit
     normalize_rows(log_rows, grid.cell_volume)
@@ -298,11 +279,6 @@ def l1_rows(log_p: np.ndarray, log_q: np.ndarray, cell_volume: float) -> np.ndar
     return l1
 
 
-def normalize(grid: StateGrid, raw_values: np.ndarray) -> DensityGrid:
-    """Build a normalized density from raw nonnegative cell values."""
-    return DensityGrid.from_values(grid, raw_values)
-
-
 def l1_distance(p: DensityGrid, q: DensityGrid) -> float:
     """Grid L1 distance, sum of absolute cell differences times cell volume,
     with ``l1_rows``' clamp of rounding overshoot above 2."""
@@ -320,48 +296,6 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     _check_same_grid(p, q)
     val = float((p.values * (p.log_values - q.log_values)).sum() * p.grid.cell_volume)
     return max(0.0, val)
-
-
-def find_psi(p: DensityGrid, q: DensityGrid) -> np.ndarray:
-    """Cell center where p and q are closest, the anchor for log ratios.
-
-    Ties resolve to the lowest flat cell index, so identical densities anchor
-    at the first grid point.
-    """
-    _check_same_grid(p, q)
-    idx = int(np.argmin(np.abs(p.values - q.values)))
-    return p.grid.point_at(idx)
-
-
-@dataclass(frozen=True, eq=False)
-class LogRatioField:
-    """Log of a density against its value at an anchor point psi."""
-
-    grid: StateGrid
-    values: np.ndarray = field(repr=False)
-    psi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.shape[0] != self.grid.n_cells:
-            raise ValueError("values length does not match grid size")
-        anchor = self.grid.locate(np.asarray(self.psi))
-        if abs(v[anchor]) > 1e-9:
-            raise ValueError("log ratio must vanish at the anchor cell")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "psi", tuple(float(x) for x in self.psi))
-
-    def to_density(self) -> DensityGrid:
-        """Invert the representation: exponentiate and renormalize."""
-        return DensityGrid.from_log(self.grid, self.values)
-
-
-def log_ratio(p: DensityGrid, psi: np.ndarray) -> LogRatioField:
-    """Log ratio field of p anchored at the cell containing psi."""
-    anchor = p.grid.locate(np.asarray(psi))
-    vals = p.log_values - p.log_values[anchor]
-    return LogRatioField(p.grid, vals, tuple(np.asarray(psi, dtype=float)))
 
 
 def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

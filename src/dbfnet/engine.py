@@ -102,8 +102,8 @@ class ChannelNoise:
     rng: np.random.Generator
 
     def __post_init__(self) -> None:
-        if self.eps_u < 0 or self.eps_l < 0:
-            raise ValueError("noise bounds must be nonnegative")
+        if not (0.0 <= self.eps_u < np.inf and 0.0 <= self.eps_l < np.inf):
+            raise ValueError("noise bounds must be finite and nonnegative")
 
     @classmethod
     def from_seed(cls, eps_u: float, eps_l: float, seed: int) -> "ChannelNoise":

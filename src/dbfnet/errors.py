@@ -13,10 +13,6 @@ class AllZero(DbfError):
     """Every cell of a density vanished before normalization."""
 
 
-class OutOfBounds(DbfError):
-    """A state point lies outside the grid bounds."""
-
-
 class DomainError(DbfError):
     """A scalar parameter is outside its admissible range."""
 

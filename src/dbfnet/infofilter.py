@@ -102,9 +102,6 @@ class LinearModel:
     def dim(self) -> int:
         return self.f.shape[0]
 
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.f))
-
 
 @dataclass(frozen=True)
 class InfoState:

@@ -1,10 +1,10 @@
 """Opinion pools: combining several densities into one.
 
-The linear pool averages densities cell-wise; the logarithmic pool averages
-their logs and renormalizes. The log pool with uniform weights minimizes the
-summed KL divergence to the inputs, and raising it to the agent count recovers
-the product of the inputs (the joint likelihood under conditional
-independence).
+The logarithmic pool averages the inputs' logs and renormalizes. It is
+externally Bayesian: pooling commutes with a shared Bayes update. With uniform
+weights it minimizes the summed KL divergence to the inputs, and raising it to
+the agent count recovers the product of the inputs (the joint likelihood under
+conditional independence).
 """
 
 from __future__ import annotations
@@ -51,17 +51,6 @@ def _stack(pdfs: Sequence[DensityGrid], w: PoolWeights | None = None) -> np.ndar
         raise WeightMismatch(f"{len(w.weights)} weights for {len(pdfs)} densities")
     _check_same_grid(*pdfs)
     return np.stack([p.log_values for p in pdfs])
-
-
-def linop(pdfs: Sequence[DensityGrid], w: PoolWeights) -> DensityGrid:
-    """Weighted arithmetic mean of densities (linear opinion pool)."""
-    logs = _stack(pdfs, w)
-    weights = w.as_array()
-    keep = weights > 0.0
-    logs, weights = logs[keep], weights[keep]
-    top = logs.max(axis=0)
-    mixed = top + np.log(weights @ np.exp(logs - top))
-    return DensityGrid.from_log(pdfs[0].grid, mixed)
 
 
 def logop(pdfs: Sequence[DensityGrid], w: PoolWeights) -> DensityGrid:

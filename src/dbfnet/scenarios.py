@@ -62,6 +62,11 @@ from .topology import (
 DT_MASTER = 0.01
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
+
+
 def target_dynamics_cv(dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Constant-velocity transition and process noise for state (x, vx, y, vy)."""
     if dt <= 0:
@@ -129,6 +134,7 @@ class BenchmarkConfig:
     prior_vel_sigma: float = 3.0
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigInvalid("dt and duration must be positive")
         stride = self.dt / DT_MASTER
@@ -657,6 +663,7 @@ class FormationConfig:
     consensus_reset: int = 10
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.n_agents < 3:
             raise ConfigInvalid("formation needs at least three agents")
         if self.apf_gain <= 0 or self.spacing <= 0 or self.dt <= 0:
@@ -870,6 +877,7 @@ class MultiloopConfig:
     grid_points: int = 64
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.n_agents < 2:
             raise ConfigInvalid("need at least two agents")
         if self.n_loop < 1:

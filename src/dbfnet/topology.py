@@ -9,7 +9,6 @@ of window products, which controls the consensus contraction rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,9 +48,6 @@ class Digraph:
 
     def is_symmetric(self) -> bool:
         return all((j, i) in self.edges for i, j in self.edges)
-
-    def in_neighbors(self, i: int) -> list[int]:
-        return sorted(j for a, j in self.edges if a == i)
 
     def adjacency_bool(self) -> np.ndarray:
         m = np.eye(self.n, dtype=bool)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_run_rejects_invalid_formation_grid(tmp_path, capsys):
     )
     assert code == 2
     assert "grid_cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["benchmark2", "formation", "multiloop"])
+@pytest.mark.parametrize("seed", ["1.5", "abc", "true"])
+def test_run_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys, scenario, seed):
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", scenario, "--set", f"seed={seed}", "--outdir", str(out))
+    assert code == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- bounds
@@ -431,6 +442,13 @@ def test_sweep_requires_values(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seeds, message", [(["--seeds", "1,x"], "--seeds"), (["--seeds", "1.5"], "--seeds"), (["--set", "seed=abc"], "seed must be an integer")])
+def test_sweep_rejects_seeds_that_are_not_integers(tmp_path, capsys, seeds, message):
+    code = run_cli("sweep", "--scenario", "multiloop", "--param", "n_loop", "--values", "2", *seeds, "--outdir", str(tmp_path / "s"))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_imports_without_scipy():
     # numpy is the only runtime dependency
     code = (
@@ -440,6 +458,26 @@ def test_imports_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_public_surface_is_the_listed_names():
+    # adding or removing a public name must be a deliberate edit of this list
+    import dbfnet
+
+    public = {name for name, value in vars(dbfnet).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "AdjacencyMatrix", "AdjacencySchedule", "AgentState", "BenchmarkConfig", "ChannelNoise",
+        "ConvergenceParams", "DensityGrid", "Digraph", "FormationConfig", "InfoState", "LinearModel",
+        "MultiloopConfig", "PoolWeights", "RunMetrics", "SensorModel", "StateGrid", "TargetModel",
+        "bayes_update", "check_assumption1", "dbf_step", "delta_max", "delta_min", "estimate_theta_l",
+        "fuse", "info_fuse", "info_measurement", "info_predict", "info_update", "initial_disagreement",
+        "inject_channel_noise", "joint_likelihood", "kappa", "kl_divergence", "kl_pool", "l1_distance",
+        "local_degree_weights", "logop", "metropolis_weights", "multiloop_bound", "multiloop_fuse",
+        "normalized_likelihood", "power_estimate", "predict", "robust_delta_max", "robust_delta_min",
+        "run_benchmark_scenario1", "run_benchmark_scenario2", "run_formation", "run_multiloop",
+        "second_singular_value", "sigma_m", "sigma_m_bound", "static_bounds", "tv_distance", "update",
+        "window_product", "xi_trajectory",
+    }
 
 
 @pytest.mark.parametrize("agents", ["0", "-2"])

@@ -7,21 +7,17 @@ from hypothesis import given, settings, strategies as st
 from dbfnet.density import (
     DensityGrid,
     LOG_FLOOR,
-    LogRatioField,
     StateGrid,
-    find_psi,
     floor_and_normalize,
     floor_and_normalize_rows,
     kl_divergence,
     l1_distance,
     l1_rows,
-    log_ratio,
-    normalize,
     normalize_rows,
     systematic_indices,
     tv_distance,
 )
-from dbfnet.errors import AllZero, DbfError, GridMismatch, OutOfBounds
+from dbfnet.errors import AllZero, DbfError, GridMismatch
 
 
 def grid_1d(lo=-6.0, hi=6.0, n=64):
@@ -64,14 +60,6 @@ def test_grid_validation():
         StateGrid((0.0,), (float("inf"),), (4,))
 
 
-def test_locate_and_out_of_bounds():
-    g = grid_1d(0.0, 4.0, 4)
-    assert g.locate(np.array([0.1])) == 0
-    assert g.locate(np.array([3.9])) == 3
-    with pytest.raises(OutOfBounds):
-        g.locate(np.array([4.5]))
-
-
 def test_log_interp_matches_field_at_centers():
     g = StateGrid((0.0, 0.0), (2.0, 4.0), (2, 4))
     field = np.arange(8.0)
@@ -95,27 +83,27 @@ def test_log_interp_constant_field():
     np.testing.assert_allclose(g.log_interp(np.full(64, -3.5), pts), -3.5)
 
 
-# ---------------------------------------------------------------- normalize
+# -------------------------------------------------------------- from_values
 
 
 def test_normalize_constant():
     g = StateGrid((0.0,), (4.0,), (4,))
-    d = normalize(g, np.array([2.0, 2.0, 2.0, 2.0]))
+    d = DensityGrid.from_values(g, np.array([2.0, 2.0, 2.0, 2.0]))
     np.testing.assert_allclose(d.values, 0.25)
 
 
 def test_normalize_two_cells():
     g = StateGrid((0.0,), (2.0,), (2,))
-    d = normalize(g, np.array([1.0, 3.0]))
+    d = DensityGrid.from_values(g, np.array([1.0, 3.0]))
     np.testing.assert_allclose(d.values, [0.25, 0.75])
 
 
 def test_normalize_scale_invariant():
     g = grid_1d()
     raw = np.exp(-0.5 * g.axes[0] ** 2)
-    a = normalize(g, raw)
-    b = normalize(g, 1e250 * raw)
-    c = normalize(g, 1e-250 * raw)
+    a = DensityGrid.from_values(g, raw)
+    b = DensityGrid.from_values(g, 1e250 * raw)
+    c = DensityGrid.from_values(g, 1e-250 * raw)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.values, c.values)
 
@@ -123,7 +111,7 @@ def test_normalize_scale_invariant():
 def test_normalize_all_zero():
     g = SMALL
     with pytest.raises(AllZero):
-        normalize(g, np.zeros(g.n_cells))
+        DensityGrid.from_values(g, np.zeros(g.n_cells))
 
 
 def test_normalize_rows_matches_floor_and_normalize():
@@ -161,6 +149,14 @@ def test_floor_and_normalize_all_minus_inf_has_no_mass():
         floor_and_normalize(g, np.full(g.n_cells, np.nan))
     with pytest.raises(ValueError, match="grid size"):
         floor_and_normalize(g, np.zeros(g.n_cells + 1))
+
+
+def test_a_plus_inf_cell_is_infinite_mass_not_no_mass():
+    g = StateGrid((0.0,), (4.0,), (4,))
+    with pytest.raises(ValueError, match=r"log mass inf: a cell is \+inf"):
+        DensityGrid.from_log(g, np.array([np.inf, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"log mass inf: a cell is \+inf"):
+        DensityGrid.from_values(g, np.array([np.inf, 1.0, 1.0, 1.0]))
 
 
 def test_density_grid_checks():
@@ -270,7 +266,7 @@ def test_l1_rows_clamps_rounding_overshoot_only():
 
 def test_floor_applied():
     g = StateGrid((0.0,), (2.0,), (2,))
-    d = normalize(g, np.array([1.0, 0.0]))
+    d = DensityGrid.from_values(g, np.array([1.0, 0.0]))
     assert d.values[1] >= 1e-300
     assert d.values[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -285,8 +281,8 @@ def test_l1_identical_zero():
 
 def test_l1_hand_value():
     g = StateGrid((0.0,), (2.0,), (2,))
-    p = normalize(g, np.array([1.0, 0.0]))
-    q = normalize(g, np.array([0.0, 1.0]))
+    p = DensityGrid.from_values(g, np.array([1.0, 0.0]))
+    q = DensityGrid.from_values(g, np.array([0.0, 1.0]))
     assert l1_distance(p, q) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -337,69 +333,6 @@ def test_tv_is_half_l1():
     assert tv_distance(p, q) == 0.5 * l1_distance(p, q)
 
 
-# ---------------------------------------------------------------- find_psi
-
-
-def test_find_psi_identical_first_cell():
-    g = grid_1d(0.0, 4.0, 4)
-    d = DensityGrid.uniform(g)
-    np.testing.assert_allclose(find_psi(d, d), g.point_at(0))
-
-
-def test_find_psi_gaussian_crossing():
-    # N(0,1) and N(2,1) cross at x = 1; the box is tight enough that the
-    # tails never dip below the discretized crossing residual
-    g = grid_1d(-2.0, 4.0, 64)
-    p = DensityGrid.gaussian(g, 0.0, [[1.0]])
-    q = DensityGrid.gaussian(g, 2.0, [[1.0]])
-    psi = find_psi(p, q)
-    assert abs(psi[0] - 1.0) <= g.widths[0]
-
-
-def test_find_psi_residual_shrinks_with_resolution():
-    last = None
-    for n in (32, 64, 128, 256):
-        g = grid_1d(-2.0, 4.0, n)
-        p = DensityGrid.gaussian(g, 0.0, [[1.0]])
-        q = DensityGrid.gaussian(g, 2.0, [[1.0]])
-        idx = g.locate(find_psi(p, q))
-        residual = abs(p.values[idx] - q.values[idx])
-        if last is not None:
-            assert residual < last
-        last = residual
-
-
-# ---------------------------------------------------------------- log ratio
-
-
-def test_log_ratio_zero_at_anchor():
-    g = grid_1d()
-    p = DensityGrid.gaussian(g, 1.0, [[2.0]])
-    field = log_ratio(p, np.array([0.0]))
-    anchor = g.locate(np.array([0.0]))
-    assert field.values[anchor] == 0.0
-
-
-def test_log_ratio_roundtrip():
-    g = grid_1d()
-    p = DensityGrid.gaussian(g, -0.5, [[1.5]])
-    back = log_ratio(p, np.array([2.0])).to_density()
-    np.testing.assert_allclose(back.log_values, p.log_values, atol=1e-12)
-
-
-def test_log_ratio_out_of_bounds():
-    g = grid_1d()
-    p = DensityGrid.uniform(g)
-    with pytest.raises(OutOfBounds):
-        log_ratio(p, np.array([100.0]))
-
-
-def test_log_ratio_field_validates_anchor():
-    g = grid_1d(0.0, 4.0, 4)
-    with pytest.raises(ValueError):
-        LogRatioField(g, np.array([1.0, 0.0, 0.0, 0.0]), (0.5,))
-
-
 # ---------------------------------------------------------------- particles
 
 
@@ -448,14 +381,6 @@ def test_l1_metric_properties(p, q):
 @settings(max_examples=40, deadline=None)
 def test_l1_triangle_inequality(p, q, r):
     assert l1_distance(p, r) <= l1_distance(p, q) + l1_distance(q, r) + 1e-12
-
-
-@given(densities(SMALL))
-@settings(max_examples=40, deadline=None)
-def test_log_ratio_roundtrip_property(d):
-    psi = find_psi(d, DensityGrid.uniform(d.grid))
-    back = log_ratio(d, psi).to_density()
-    np.testing.assert_allclose(back.log_values, d.log_values, atol=1e-9)
 
 
 @given(densities(SMALL), densities(SMALL))

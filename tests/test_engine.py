@@ -331,6 +331,14 @@ def test_channel_noise_bounded_log_perturbation():
     assert abs(out.integral() - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_channel_noise_rejects_non_finite_or_negative_bounds(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ChannelNoise.from_seed(bad, 0.0, 1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ChannelNoise.from_seed(0.0, bad, 1)
+
+
 def test_noisy_step_stays_within_budget_envelope():
     g = grid_1d()
     n = 3

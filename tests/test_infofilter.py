@@ -68,7 +68,6 @@ def test_model_validation():
         LinearModel(f=np.eye(1), q=np.eye(1), h=(np.eye(1),), r=())
     m = scalar_model()
     assert m.n_agents == 1 and m.dim == 1
-    assert m.condition_number() == pytest.approx(1.0)
 
 
 def test_from_moments():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbfnet.density import DensityGrid, StateGrid, kl_divergence, l1_distance
 from dbfnet.errors import GridMismatch, WeightMismatch
-from dbfnet.pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, linop, logop
+from dbfnet.pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, logop
 
 
 def grid_1d(lo=-6.0, hi=6.0, n=128):
@@ -63,7 +63,7 @@ def test_weight_count_mismatch():
     g = grid_1d()
     p = DensityGrid.uniform(g)
     with pytest.raises(WeightMismatch):
-        linop([p, p], PoolWeights.uniform(3))
+        logop([p, p], PoolWeights.uniform(3))
     with pytest.raises(WeightMismatch):
         logop([p], PoolWeights.uniform(2))
 
@@ -72,46 +72,11 @@ def test_grid_mismatch():
     p = DensityGrid.uniform(grid_1d(n=64))
     q = DensityGrid.uniform(grid_1d(n=32))
     with pytest.raises(GridMismatch):
-        linop([p, q], PoolWeights.uniform(2))
+        logop([p, q], PoolWeights.uniform(2))
     with pytest.raises(GridMismatch):
         joint_likelihood([p, q])
     with pytest.raises(GridMismatch):
         bayes_update(p, q)
-
-
-# -------------------------------------------------------------------- linop
-
-
-def test_linop_identical_inputs():
-    g = grid_1d()
-    p = DensityGrid.gaussian(g, 0.5, [[1.2]])
-    out = linop([p, p, p], PoolWeights.uniform(3))
-    assert l1_distance(out, p) <= 1e-12
-
-
-def test_linop_two_cell_mean():
-    g = StateGrid((0.0,), (2.0,), (2,))
-    p = DensityGrid.from_values(g, np.array([1.0, 0.0]))
-    q = DensityGrid.from_values(g, np.array([0.0, 1.0]))
-    out = linop([p, q], PoolWeights.uniform(2))
-    np.testing.assert_allclose(out.values, [0.5, 0.5])
-
-
-def test_linop_keeps_separated_modes():
-    # two bimodal inputs with disjoint mode locations: the mixture keeps all
-    # four bumps, where the log pool would collapse them
-    g = grid_1d(-8.0, 8.0, 256)
-    p = linop(
-        [DensityGrid.gaussian(g, -5.0, [[0.2]]), DensityGrid.gaussian(g, -2.0, [[0.2]])],
-        PoolWeights.uniform(2),
-    )
-    q = linop(
-        [DensityGrid.gaussian(g, 2.0, [[0.2]]), DensityGrid.gaussian(g, 5.0, [[0.2]])],
-        PoolWeights.uniform(2),
-    )
-    out = linop([p, q], PoolWeights.uniform(2))
-    peaks = local_maxima(out.values)
-    assert len(peaks) == 4
 
 
 # -------------------------------------------------------------------- logop
@@ -137,14 +102,10 @@ def test_logop_gaussian_geometric_mean():
 def test_logop_shared_modes_stay_bimodal():
     # mode locations chosen off cell boundaries so each peak is a single cell
     g = grid_1d(-8.0, 8.0, 256)
-    p = linop(
-        [DensityGrid.gaussian(g, -2.9, [[0.3]]), DensityGrid.gaussian(g, 3.1, [[0.3]])],
-        PoolWeights.uniform(2),
-    )
-    q = linop(
-        [DensityGrid.gaussian(g, -2.9, [[0.4]]), DensityGrid.gaussian(g, 3.1, [[0.4]])],
-        PoolWeights.uniform(2),
-    )
+    a, b = DensityGrid.gaussian(g, -2.9, [[0.3]]), DensityGrid.gaussian(g, 3.1, [[0.3]])
+    p = DensityGrid.from_values(g, 0.5 * (a.values + b.values))
+    a, b = DensityGrid.gaussian(g, -2.9, [[0.4]]), DensityGrid.gaussian(g, 3.1, [[0.4]])
+    q = DensityGrid.from_values(g, 0.5 * (a.values + b.values))
     out = logop([p, q], PoolWeights.uniform(2))
     peaks = local_maxima(out.values)
     assert len(peaks) == 2
@@ -281,16 +242,3 @@ def test_logop_external_bayesianity(p, q, lik, w):
     update_then_pool = logop([bayes_update(p, lik), bayes_update(q, lik)], w)
     pool_then_update = bayes_update(logop([p, q], w), lik)
     assert l1_distance(update_then_pool, pool_then_update) <= 1e-9
-
-
-def test_linop_breaks_external_bayesianity():
-    # witness: mixture of well-separated sharp modes with a likelihood that
-    # kills one of them; updating before pooling resurrects the dead mode
-    g = grid_1d(-6.0, 6.0, 128)
-    p = DensityGrid.gaussian(g, -2.0, [[0.25]])
-    q = DensityGrid.gaussian(g, 2.0, [[0.25]])
-    lik = DensityGrid.gaussian(g, -2.0, [[0.25]])
-    w = PoolWeights.uniform(2)
-    update_then_pool = linop([bayes_update(p, lik), bayes_update(q, lik)], w)
-    pool_then_update = bayes_update(linop([p, q], w), lik)
-    assert l1_distance(update_then_pool, pool_then_update) > 0.01
