@@ -258,6 +258,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set or [])
     if args.scenario:
         cfg["scenario"] = args.scenario
+    if args.param == "seed":
+        raise ConfigInvalid("sweep sets the seed of each run from --seeds; use --seeds, not --param seed")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigInvalid("sweep needs at least one value")

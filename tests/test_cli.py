@@ -449,6 +449,16 @@ def test_sweep_rejects_seeds_that_are_not_integers(tmp_path, capsys, seeds, mess
     assert message in capsys.readouterr().err
 
 
+def test_sweep_over_seed_points_to_seeds(tmp_path, capsys):
+    # the seed of each run comes from --seeds, so --param seed would run one seed over and over
+    out = tmp_path / "s"
+    code = run_cli("sweep", "--scenario", "multiloop", "--param", "seed", "--values", "2,3", "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--seeds" in err
+    assert not out.exists()
+
+
 def test_imports_without_scipy():
     # numpy is the only runtime dependency
     code = (

@@ -215,15 +215,24 @@ def test_scenario1_smoke_metrics():
     assert s["observed_kappa"] is None or s["observed_kappa"] >= 1
 
 
-def _cv_bank(count=200, seed=5):
-    """A (4, P) constant-velocity bank with its motion, position rows,
-    roughening scales, and its move written out for given noise."""
-    bank = np.random.default_rng(seed).standard_normal((4, count))
+_CV_ROUGH = np.array([0.5, 0.1, 0.5, 0.1])
+
+
+def _cv_motion():
+    """Benchmark 1's kind of motion at dt 0.1, with the roughening ``_CV_ROUGH`` folded into ``chol_r``."""
     f, q = target_dynamics_cv(0.1)
-    chol = np.linalg.cholesky(q)
-    rough = np.array([0.5, 0.1, 0.5, 0.1])
-    motion = partial(_linear_motion, f, chol)
-    return bank, motion, slice(None, None, 2), rough, lambda w: f @ bank + chol @ w
+    chol_r = np.linalg.cholesky(q + f @ np.diag(_CV_ROUGH**2) @ f.T)
+    return partial(_linear_motion, f, np.linalg.cholesky(q), chol_r)
+
+
+def _cv_bank(count=200, seed=5):
+    """A (4, P) constant-velocity bank with its motion, position rows, no
+    roughening scales (its motion carries them, as in benchmark 1), and its
+    move written out for given noise."""
+    bank = np.random.default_rng(seed).standard_normal((4, count))
+    motion = _cv_motion()
+    f, chol, _ = motion.args
+    return bank, motion, slice(None, None, 2), None, lambda w: f @ bank + chol @ w
 
 
 def _drift_bank(count=200, seed=5):
@@ -282,17 +291,77 @@ def _collapse(points):
 
 
 def test_bank_step_collapse_resamples_in_place():
+    # with no roughening scales the resample only copies: the next move roughens
     before, _, _, _, move = _cv_bank()
     propagated = move(np.random.default_rng(2).standard_normal(before.shape))
-    bank, log_w, mean, rough, _ = _step_one(_cv_bank, _collapse, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    bank, log_w, mean, _, _ = _step_one(_cv_bank, _collapse, rng)
     count = bank.shape[1]
-    assert not np.array_equal(bank, before)
     np.testing.assert_array_equal(log_w, 0.0)
+    # every particle is an exact copy of the one that carried the weight
+    np.testing.assert_array_equal(bank, np.broadcast_to(propagated[:, 7:8], bank.shape))
     # the mean weighs every particle alike
     np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
-    # every particle is a roughened copy of the one that carried the weight
+    # the stream drew the move noise and the resample offset, and no jitter
+    rest = np.random.default_rng(2)
+    rest.standard_normal(bank.shape)
+    rest.uniform()
+    assert rng.uniform() == rest.uniform()
+
+
+def test_bank_step_collapse_jitters_in_place_with_rough():
+    # formation's banks pass their roughening scales and are jittered at the resample
+    before, _, _, rough, move = _drift_bank()
+    propagated = move(np.random.default_rng(2).standard_normal(before.shape))
+    bank, log_w, mean, _, _ = _step_one(_drift_bank, _collapse, np.random.default_rng(2))
+    count = bank.shape[1]
+    np.testing.assert_array_equal(log_w, 0.0)
+    np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
+    # every particle is a distinct roughened copy of the one that carried the weight
     spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
     assert np.all(spread < 8.0 * rough)
+    assert len(np.unique(bank[0])) == count
+
+
+def test_bank_step_after_collapse_moves_with_the_folded_factor():
+    rng = np.random.default_rng(2)
+    bank, motion, positions, _, _ = _cv_bank()
+    f, chol, chol_r = motion.args
+    banks = _scheduler(bank[None], np.zeros((1, bank.shape[1])), positions, [rng], None)
+    banks.move([motion])
+    banks.weigh([_collapse])
+    rest = np.random.default_rng(2)
+    rest.standard_normal(bank.shape)
+    rest.uniform()
+    # the move after the resample draws one fill that carries the roughening
+    for factor in (chol_r, chol):
+        copied, noise = bank.copy(), rest.standard_normal(bank.shape)
+        banks.move([motion])
+        banks.weigh([_flat])
+        np.testing.assert_allclose(bank, f @ copied + factor @ noise, rtol=1e-12, atol=1e-12)
+    # one move spends the flag: the second used chol again
+    assert banks.resampled == [False]
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.5])
+def test_scenario1_folded_factor_is_process_noise_plus_roughening(dt, monkeypatch):
+    built = []
+
+    def record(f, chol, chol_r, *args):
+        built.append((f, chol, chol_r))
+        return _linear_motion(f, chol, chol_r, *args)
+
+    monkeypatch.setattr(scenarios, "_linear_motion", record)
+    cfg = tiny_benchmark(dt=dt)
+    run_benchmark_scenario1(cfg)
+    f, chol, chol_r = built[0]
+    want_f, q = target_dynamics_cv(dt)
+    rough_pos = 0.25 * float(cfg.position_grid().widths.min())
+    rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
+    want = q + want_f @ np.diag(rough**2) @ want_f.T
+    np.testing.assert_array_equal(f, want_f)
+    np.testing.assert_allclose(chol @ chol.T, q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+    np.testing.assert_allclose(chol_r @ chol_r.T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 _NON_FINITE = [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)]
@@ -319,11 +388,14 @@ def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
         banks.weigh([_flat, _flat, _flat, increment, _flat])
 
 
-def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough, scratch, index):
-    """One bank moved and weighed in a single call, bank after bank: the reference for the scheduler's bits."""
+def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough, scratch, index, resampled):
+    """One bank moved and weighed in a single call, bank after bank: the
+    reference for the scheduler's bits. ``resampled[index]`` is the bank's
+    flag for a resample whose roughening its next move carries."""
     count = bank.shape[1]
     noise, moved = scratch
-    motion(bank, rng.standard_normal(out=noise), moved)
+    motion(bank, rng.standard_normal(out=noise), moved, resampled[index])
+    resampled[index] = False
     log_w += log_likelihood(bank[positions].T)
     log_w -= log_w.max()
     w = np.exp(log_w)
@@ -334,31 +406,36 @@ def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough
     log_w -= np.log(mass)
     if 1.0 / (w @ w) < 0.5 * count:
         idx = systematic_indices(w, count, rng)
-        rng.standard_normal(out=noise)
-        noise *= rough[:, None]
         np.take(bank, idx, axis=1, out=moved)
-        np.add(moved, noise, out=bank)
+        if rough is None:
+            np.copyto(bank, moved)
+            resampled[index] = True
+        else:
+            rng.standard_normal(out=noise)
+            noise *= rough[:, None]
+            np.add(moved, noise, out=bank)
         w[:] = 1.0 / count
         log_w[:] = 0.0
     return w
 
 
-def _oracle_step_banks(particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch):
+def _oracle_step_banks(particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch, resampled):
     for b, bank in enumerate(particles):
-        w = _oracle_bank_step(bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch, b)
+        w = _oracle_bank_step(
+            bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch, b, resampled
+        )
         means[b] = bank @ w
 
 
 _BANKS, _COUNT = 12, 2000
 
 
-def _bank_stack():
-    """12 banks and their inputs; banks 1, 2, 5, 6, 9 and 10 resample, the others do not."""
+def _bank_stack(rough=None):
+    """12 banks and their inputs; banks 1, 2, 5, 6, 9 and 10 resample, the
+    others do not. With ``rough`` None their next move roughens them."""
     particles = np.random.default_rng(13).standard_normal((_BANKS, 4, _COUNT))
     log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (_BANKS, _COUNT))
-    f, q = target_dynamics_cv(0.1)
-    motions = [partial(_linear_motion, f, np.linalg.cholesky(q))] * _BANKS
-    rough = np.array([0.5, 0.1, 0.5, 0.1])
+    motions = [_cv_motion()] * _BANKS
     rngs = [np.random.default_rng(100 + b) for b in range(_BANKS)]
     likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(_BANKS)]
     return particles, log_w, motions, rough, rngs, likelihoods
@@ -369,9 +446,11 @@ def _field_work():
     return float(np.sort(np.random.default_rng(0).standard_normal(20_000)).sum())
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_step_banks_pool_is_bit_equal_to_serial(workers):
-    particles, log_w, motions, rough, rngs, likelihoods = _bank_stack()
+def _pool_equals_serial(workers, rough):
+    particles, log_w, motions, rough, rngs, _ = _bank_stack(rough)
+    # each bank collapses on two of the four ticks, so a bank's move follows
+    # ticks with and without a resample
+    ticks = [[_collapse if (b + t) % 4 in (1, 2) else _flat for b in range(_BANKS)] for t in range(4)]
     # three workers are more threads than a 2-core box has cores, and a short
     # switch interval makes them interleave often
     interval = sys.getswitchinterval()
@@ -379,21 +458,31 @@ def test_step_banks_pool_is_bit_equal_to_serial(workers):
     try:
         with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
             banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, workers)
-            for _ in range(4):
+            for likelihoods in ticks:
                 banks.move(motions)
                 _field_work()
                 banks.weigh(likelihoods)
     finally:
         sys.setswitchinterval(interval)
-    want, want_log_w, motions, rough, rngs, likelihoods = _bank_stack()
+    want, want_log_w, motions, rough, rngs, _ = _bank_stack(rough)
     want_means = np.empty((_BANKS, 4))
     scratch = np.empty((2, 4, _COUNT))
-    for _ in range(4):
-        _oracle_step_banks(want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch)
+    resampled = [False] * _BANKS
+    for likelihoods in ticks:
+        _oracle_step_banks(
+            want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch, resampled
+        )
     np.testing.assert_array_equal(particles, want)
     np.testing.assert_array_equal(log_w, want_log_w)
     np.testing.assert_array_equal(banks.means, want_means)
-    assert [bool((row == 0.0).all()) for row in log_w] == [b % 4 in (1, 2) for b in range(_BANKS)]
+    assert [bool((row == 0.0).all()) for row in log_w] == [(b + 3) % 4 in (1, 2) for b in range(_BANKS)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_step_banks_pool_is_bit_equal_to_serial(workers):
+    # benchmark 1's banks fold their roughening into the next move, formation's jitter in place
+    for rough in (None, _CV_ROUGH):
+        _pool_equals_serial(workers, rough)
 
 
 def _fail_on_pool(phase):
