@@ -37,9 +37,9 @@ class ConvergenceParams:
         sigma_m: contraction rate of b(n-1)-windows, in [0, 1).
         delta: target steady-state L1 error, in (0, 2 / (1 + eta)).
         eta: transient overshoot fraction, in (0, 1).
-        d1: initial disagreement of the log likelihoods, nonnegative.
-        eps_u: per-message multiplicative communication error bound.
-        eps_l: multiplicative likelihood modeling error bound.
+        d1: initial disagreement of the log likelihoods, finite, nonnegative.
+        eps_u: per-message multiplicative communication error bound, finite, >= 0.
+        eps_l: multiplicative likelihood modeling error bound, finite, >= 0.
     """
 
     n: int
@@ -65,10 +65,9 @@ class ConvergenceParams:
             raise DomainError("eta must lie in (0, 1)")
         if not (0.0 < self.delta < 2.0 / (1.0 + self.eta)):
             raise DomainError("delta must lie in (0, 2 / (1 + eta))")
-        if self.d1 < 0:
-            raise DomainError("d1 must be nonnegative")
-        if self.eps_u < 0 or self.eps_l < 0:
-            raise DomainError("error bounds must be nonnegative")
+        for name in ("d1", "eps_u", "eps_l"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and nonnegative")
 
     @property
     def window(self) -> int:

@@ -20,10 +20,11 @@ truth and the same measurement noise at shared instants.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from queue import Empty, SimpleQueue
 from typing import Callable, Iterator
@@ -62,9 +63,20 @@ from .topology import (
 DT_MASTER = 0.01
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
+def _check_integers(cfg, *names: str) -> None:
+    """Reject a seed or count of ``cfg`` that is not an int; a bool is not one either."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+
+
+def _entries(name: str, value, size: int, kind: type) -> tuple:
+    """``value`` as a tuple of ``size`` entries of ``kind``, none of them a bool."""
+    entries = tuple(value) if np.iterable(value) else ()
+    if len(entries) != size or not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries):
+        raise ConfigInvalid(f"{name} must list {size} numbers of type {kind.__name__}, got {value!r}")
+    return entries
 
 
 def target_dynamics_cv(dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +146,7 @@ class BenchmarkConfig:
     prior_vel_sigma: float = 3.0
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        _check_integers(self, "seed", "n_agents", "n_toa", "n_doa", "particles")
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigInvalid("dt and duration must be positive")
         stride = self.dt / DT_MASTER
@@ -152,16 +164,16 @@ class BenchmarkConfig:
             raise ConfigInvalid("noise_tau must be nonnegative")
         if not (0.0 < self.eta < 1.0 and 0.0 < self.delta_target < 2.0 / (1.0 + self.eta)):
             raise ConfigInvalid("need eta in (0, 1) and delta_target in (0, 2 / (1 + eta))")
-        xmin, xmax, ymin, ymax = self.region
+        xmin, xmax, ymin, ymax = _entries("region", self.region, 4, numbers.Real)
         if xmin >= xmax or ymin >= ymax:
             raise ConfigInvalid("region must be a nonempty box")
-        if len(self.grid_cells) != 2 or any(c < 2 for c in self.grid_cells):
+        if min(_entries("grid_cells", self.grid_cells, 2, int)) < 2:
             raise ConfigInvalid("grid_cells must give at least 2 cells per axis")
         if self.steps < 1:
             raise ConfigInvalid("duration must cover at least one dt")
-        object.__setattr__(self, "grid_cells", tuple(int(c) for c in self.grid_cells))
+        object.__setattr__(self, "grid_cells", tuple(self.grid_cells))
         object.__setattr__(self, "region", tuple(float(v) for v in self.region))
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        object.__setattr__(self, "x0", tuple(float(v) for v in _entries("x0", self.x0, 4, numbers.Real)))
 
     @property
     def steps(self) -> int:
@@ -197,7 +209,6 @@ class RunMetrics:
 @dataclass(frozen=True)
 class Layout:
     positions: np.ndarray
-    graph: Digraph
     adjacency: AdjacencyMatrix
 
 
@@ -243,7 +254,7 @@ def benchmark_layout(cfg: BenchmarkConfig) -> Layout:
     pairs = _bridge_components(cfg.n_agents, list(zip(i.tolist(), j.tolist())), positions)
     graph = Digraph.undirected(cfg.n_agents, pairs)
     adjacency = local_degree_weights(graph) if cfg.n_agents > 1 else AdjacencyMatrix(np.eye(1))
-    return Layout(positions=positions, graph=graph, adjacency=adjacency)
+    return Layout(positions=positions, adjacency=adjacency)
 
 
 def master_trajectory(cfg: BenchmarkConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -356,9 +367,8 @@ def _linear_motion(
 def _drift_motion(
     drift: np.ndarray, sigma: float, half_width: float, bank, noise, moved, resampled: bool
 ) -> None:
-    """Move a bank by x <- x + drift + sigma w, clipped to +-half_width, in place.
-
-    Formation jitters its resampled banks in place, so ``resampled`` is never set."""
+    """Move a bank by x <- x + drift + sigma w, clipped to +-half_width, in place;
+    formation roughens its resampled banks after weighing, so ``resampled`` is unused."""
     noise *= sigma
     noise += drift[:, None]
     bank += noise
@@ -376,26 +386,22 @@ class _BankScheduler:
     (P, k) particle positions, the bank's rows ``positions``, to the log
     weights, normalizes them in place, and when the effective sample size
     falls below half the bank does a systematic resample; the weighted mean
-    goes into ``means``. With a ``rough`` scale per row the resample adds a
-    roughening jitter of that scale in place (formation). With ``rough``
-    None it only copies the chosen particles and flags the bank, and the
-    bank's next move is called with ``resampled`` true, so that the motion
-    carries the roughening in its process noise (benchmark 1, whose linear
-    motion makes the fold exact in distribution). The calling thread weighs
-    the last bank (benchmark 1's reference, the heaviest) first and every
-    thread takes the others from one queue. Worker 0 is the calling thread
-    and worker w its (2, d, P) slice of the (W, 2, d, P) ``scratch``,
-    ``noise`` and ``moved``, so that a tick allocates no bank-sized
-    temporaries. A bank's stream draws its move noise before its resample
-    offset and any jitter, so the results do not depend on which thread took
-    which bank; numpy releases the GIL in the bank-sized calls. Weights with
-    no finite mass (a NaN or +inf increment, or every particle at -inf)
-    raise ``DbfError`` naming the bank.
+    goes into ``means``. A resample only copies the chosen particles and sets
+    ``resampled[b]``, which the bank's next move receives and clears; the
+    caller roughens the copies. The calling thread weighs the last bank
+    (benchmark 1's reference, the heaviest) first and every thread takes the
+    others from one queue. Worker 0 is the calling thread and worker w its
+    (2, d, P) slice of the (W, 2, d, P) ``scratch``, ``noise`` and ``moved``,
+    so that a tick allocates no bank-sized temporaries. A bank's stream draws
+    its move noise before its resample offset, so the results do not depend
+    on which thread took which bank; numpy releases the GIL in the bank-sized
+    calls. Weights with no finite mass (a NaN or +inf increment, or every
+    particle at -inf) raise ``DbfError`` naming the bank.
     """
 
-    def __init__(self, particles, log_w, means, positions, rngs, rough, scratch, pool) -> None:
+    def __init__(self, particles, log_w, means, positions, rngs, scratch, pool) -> None:
         self.particles, self.log_w, self.means = particles, log_w, means
-        self.positions, self.rngs, self.rough = positions, rngs, rough
+        self.positions, self.rngs = positions, rngs
         self.scratch, self.pool = scratch, pool
         self.resampled = [False] * len(particles)
 
@@ -455,36 +461,24 @@ class _BankScheduler:
         w /= mass
         log_w -= np.log(mass)
         if 1.0 / (w @ w) < 0.5 * count:
-            noise, moved = self.scratch[worker]
-            idx = systematic_indices(w, count, rng)
-            np.take(bank, idx, axis=1, out=moved)
-            if self.rough is None:
-                # the bank's next move roughens it (benchmark 1). Formation
-                # jitters in place: its controls read this tick's jittered
-                # mean, so a fold changes its trajectory, and criterion 12
-                # still misses on about 15% of seeds. Once formation meets
-                # that gate robustly it can fold too, and ``rough`` with the
-                # in-place jitter below can go.
-                np.copyto(bank, moved)
-                self.resampled[b] = True
-            else:
-                rng.standard_normal(out=noise)
-                noise *= self.rough[:, None]
-                np.add(moved, noise, out=bank)
+            moved = self.scratch[worker, 1]
+            np.take(bank, systematic_indices(w, count, rng), axis=1, out=moved)
+            np.copyto(bank, moved)
+            self.resampled[b] = True
             w[:] = 1.0 / count
             log_w[:] = 0.0
         self.means[b] = bank @ w
 
 
 @contextmanager
-def _bank_workers(particles, log_w, means, positions, rngs, rough) -> Iterator[_BankScheduler]:
+def _bank_workers(particles, log_w, means, positions, rngs) -> Iterator[_BankScheduler]:
     """A ``_BankScheduler`` on the calling thread plus at most one pool thread,
     none when the process may use one CPU; the thread ends with the block."""
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(2, usable)
     scratch = np.empty((workers, 2) + particles.shape[1:])
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        yield _BankScheduler(particles, log_w, means, positions, rngs, rough, scratch, pool)
+        yield _BankScheduler(particles, log_w, means, positions, rngs, scratch, pool)
 
 
 def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
@@ -537,7 +531,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     sq_err, l1 = np.empty((cfg.steps, n)), np.empty((cfg.steps, n))
     c_sq_err = np.empty(cfg.steps)
 
-    with _bank_workers(particles, log_w, means, positions, rngs, rough=None) as banks:
+    with _bank_workers(particles, log_w, means, positions, rngs) as banks:
         for k in range(1, cfg.steps + 1):
             t_idx = k * cfg.stride
             truth_row = truth_m[t_idx]
@@ -609,14 +603,16 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
 
     The agents and, in row n, the centralized filter step as one stack of
     information pairs: each tick is one batched predict, one measurement fill,
-    one consensus mix of the agent rows and one batched update. Row n adds the
-    measurement pairs to its predicted pair in agent order and takes a zero
-    consensus pair, so it keeps every bit of ``centralized_info_step``.
+    one consensus mix and one batched update. Row n adds the measurement
+    pairs to its predicted pair in agent order; it mixes only with itself and
+    measures nothing, so its consensus pair stays zero and it keeps every bit
+    of ``centralized_info_step``.
     """
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     n = cfg.n_agents
-    a = layout.adjacency.values
+    mix = np.eye(n + 1)
+    mix[:n, :n] = layout.adjacency.values
     n_sensing = cfg.n_toa + cfg.n_doa
 
     f, q = target_dynamics_cv(cfg.dt)
@@ -630,8 +626,6 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     x0_hat = truth_m[0] + np.sqrt(np.diag(p0)) * prior_rng.standard_normal(4)
     prior = InfoState.from_moments(x0_hat, p0)
     states = InfoState(z=np.tile(prior.z, (n + 1, 1)), Z=np.tile(prior.Z, (n + 1, 1, 1)))
-    agents = InfoState(z=states.z[:n], Z=states.Z[:n])  # info_fuse reads only its consensus pairs
-    t, big_t = np.zeros((n + 1, 4)), np.zeros((n + 1, 4, 4))  # row n: the zero consensus pair
     sqrt_r = math.sqrt(cfg.r_linear)
 
     truth_used = truth_m[cfg.stride * np.arange(1, cfg.steps + 1)]
@@ -641,15 +635,13 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
         t_idx = k * cfg.stride
         truth_xy = truth_m[t_idx, [0, 2]]
         ys = truth_xy + sqrt_r * noise_m[t_idx, :n_sensing]
-        i_new, big_i_new = np.zeros((n, 4)), np.zeros((n, 4, 4))
+        i_new, big_i_new = np.zeros((n + 1, 4)), np.zeros((n + 1, 4, 4))
         i_new[:n_sensing], big_i_new[:n_sensing] = info_measurement(ys, model, np.arange(n_sensing))
         pred = info_predict(states, model)
-        agents = info_fuse(agents, i_new, big_i_new, a, k, n)
-        t[:n], big_t[:n] = agents.t, agents.T
         # axis-0 reductions add row by row, as centralized_info_step does
         pred.z[n] = np.add.reduce(np.concatenate((pred.z[n:], i_new[:n_sensing])))
         pred.Z[n] = np.add.reduce(np.concatenate((pred.Z[n:], big_i_new[:n_sensing])))
-        x_hat, p, states = info_update(replace(pred, t=t, T=big_t))
+        x_hat, p, states = info_update(info_fuse(pred, i_new, big_i_new, mix, k, n))
         estimates[k - 1] = x_hat[:n, ::2]
         sq_err[k - 1] = ((x_hat[:, ::2] - truth_xy) ** 2).sum(axis=1)
         trace_p[k - 1] = np.trace(p, axis1=1, axis2=2)
@@ -694,7 +686,7 @@ class FormationConfig:
     consensus_reset: int = 10
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        _check_integers(self, "seed", "n_agents", "particles", "ticks", "consensus_reset")
         if self.n_agents < 3:
             raise ConfigInvalid("formation needs at least three agents")
         if self.apf_gain <= 0 or self.spacing <= 0 or self.dt <= 0:
@@ -712,10 +704,10 @@ class FormationConfig:
         hw = self.n_agents if self.half_width is None else self.half_width
         if hw <= 0:
             raise ConfigInvalid("half_width must be positive")
-        if len(self.grid_cells) != 2 or any(c < 2 for c in self.grid_cells):
+        if min(_entries("grid_cells", self.grid_cells, 2, int)) < 2:
             raise ConfigInvalid("grid_cells must give at least 2 cells per axis")
         object.__setattr__(self, "half_width", float(hw))
-        object.__setattr__(self, "grid_cells", tuple(int(c) for c in self.grid_cells))
+        object.__setattr__(self, "grid_cells", tuple(self.grid_cells))
 
     @property
     def center_spacing(self) -> float:
@@ -812,9 +804,8 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     prev_neighbors: list[list[int]] | None = None
     # modest refresh jitter: interpolated scoring has no cell-boundary gaps
     # to cover, so the jitter only needs to restore cloud diversity. It is
-    # added at the resample, not folded into the next move as in benchmark 1,
-    # because the controls read the resample tick's jittered means (see
-    # ``_BankScheduler._weigh``)
+    # added right after the resample, not folded into the next move as in
+    # benchmark 1, because the controls read the resample tick's jittered means
     rough = np.full(2, 0.25 * float(grid.widths.min()))
     # the self density is inflated so that after the consensus power step it
     # still spans a couple of grid cells; a narrower peak aliases on the grid
@@ -823,7 +814,7 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     anchor = None
 
     rows: list = []
-    with _bank_workers(particles, log_w, means, slice(None), rngs, rough) as banks:
+    with _bank_workers(particles, log_w, means, slice(None), rngs) as banks:
         for k in range(1, cfg.ticks + 1):
             # predict each instance with the control its target presumably
             # applied; the banks move on the pool thread while this thread
@@ -868,6 +859,9 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             log_l_prev = log_l
 
             banks.weigh([partial(grid.log_interp, row) for row in log_t.reshape(n * n, -1)])
+            for b in np.flatnonzero(banks.resampled):
+                particles[b] += rough[:, None] * rngs[b].standard_normal(particles.shape[1:])
+                means[b] = particles[b] @ np.full(cfg.particles, 1.0 / cfg.particles)
 
             controls = _formation_controls(est, neighbors, cfg)[diag, diag]
             pos = np.clip(pos + cfg.dt * controls, -hw, hw)
@@ -911,7 +905,7 @@ class MultiloopConfig:
     grid_points: int = 64
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        _check_integers(self, "seed", "n_agents", "n_loop", "grid_points")
         if self.n_agents < 2:
             raise ConfigInvalid("need at least two agents")
         if self.n_loop < 1:

@@ -48,6 +48,11 @@ def test_params_validation():
         params(d1=-0.1)
     with pytest.raises(DomainError):
         params(eps_u=-1.0)
+    # a non-finite d1 or error budget has no envelope; nan fails every comparison
+    for name in ("d1", "eps_u", "eps_l"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                params(**{name: value})
     assert params().window == 1
     assert params(n=4, b=2).window == 6
 

@@ -186,6 +186,33 @@ def test_run_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys, scenario, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, override, field",
+    [
+        ("benchmark1", "region=[0,1]", "region"),
+        ("benchmark1", "x0=[1,2,3]", "x0"),
+        ("benchmark1", "particles=2.5", "particles"),
+        ("benchmark1", "grid_cells=[8.5,8]", "grid_cells"),
+        ("benchmark1", "n_agents=1.5", "n_agents"),
+        ("benchmark2", "n_toa=1.5", "n_toa"),
+        ("benchmark2", "n_doa=true", "n_doa"),
+        ("formation", "n_agents=3.5", "n_agents"),
+        ("formation", "ticks=2.5", "ticks"),
+        ("formation", "grid_cells=[16,true]", "grid_cells"),
+        ("multiloop", "n_loop=2.5", "n_loop"),
+        ("multiloop", "grid_points=8.5", "grid_points"),
+    ],
+)
+def test_run_rejects_a_malformed_count_or_box(tmp_path, capsys, scenario, override, field):
+    # counts must be integers, not floats or bools, and a box or start state has 4 entries
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", scenario, "--set", override, "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- bounds
 
 
@@ -317,6 +344,16 @@ def test_bounds_budget_exhausted_is_exit_two(capsys):
         "1.0",
     )
     assert code == 2
+
+
+
+@pytest.mark.parametrize("flag", ["--d1", "--eps-u", "--eps-l"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bounds_non_finite_input_is_exit_two(capsys, flag, value):
+    code = run_cli("bounds", "-N", "5", "--theta-l", "4", "--sigma-m", "0.4", "--delta", "0.3", flag, value)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite and nonnegative" in captured.err
 
 
 # --------------------------------------------------------------- graph-check

@@ -3,7 +3,8 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,15 @@ import pytest
 from dbfnet import cli, scenarios
 from dbfnet.density import StateGrid, normalize_rows, systematic_indices
 from dbfnet.errors import ConfigInvalid, DbfError
-from dbfnet.infofilter import InfoState, LinearModel, centralized_info_step
+from dbfnet.infofilter import (
+    InfoState,
+    LinearModel,
+    centralized_info_step,
+    info_fuse,
+    info_measurement,
+    info_predict,
+    info_update,
+)
 from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
@@ -226,13 +235,12 @@ def _cv_motion():
 
 
 def _cv_bank(count=200, seed=5):
-    """A (4, P) constant-velocity bank with its motion, position rows, no
-    roughening scales (its motion carries them, as in benchmark 1), and its
+    """A (4, P) constant-velocity bank with its motion, position rows and its
     move written out for given noise."""
     bank = np.random.default_rng(seed).standard_normal((4, count))
     motion = _cv_motion()
     f, chol, _ = motion.args
-    return bank, motion, slice(None, None, 2), None, lambda w: f @ bank + chol @ w
+    return bank, motion, slice(None, None, 2), lambda w: f @ bank + chol @ w
 
 
 def _drift_bank(count=200, seed=5):
@@ -240,40 +248,40 @@ def _drift_bank(count=200, seed=5):
     bank = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, count))
     drift = np.array([0.3, -0.2])
     motion = partial(_drift_motion, drift, 0.05, 2.0)
-    rough = np.full(2, 0.1)
-    move = lambda w: np.clip(bank + drift[:, None] + 0.05 * w, -2.0, 2.0)
-    return bank, motion, slice(None), rough, move
+    move = lambda w: np.clip(bank + (0.05 * w + drift[:, None]), -2.0, 2.0)
+    return bank, motion, slice(None), move
 
 
-def _scheduler(particles, log_w, positions, rngs, rough, pool=None, workers=1):
+def _scheduler(particles, log_w, positions, rngs, pool=None, workers=1):
     """A scheduler over a (B, d, P) stack; its means start as NaN."""
     means = np.full(particles.shape[:2], np.nan)
     scratch = np.empty((workers, 2) + particles.shape[1:])
-    return _BankScheduler(particles, log_w, means, positions, rngs, rough, scratch, pool)
+    return _BankScheduler(particles, log_w, means, positions, rngs, scratch, pool)
 
 
 def _step_one(make_bank, likelihood, rng, count=200):
     """One tick of one bank on the calling thread: the bank, its log weights,
-    its mean, its roughening scales and its move written out for given noise."""
-    bank, motion, positions, rough, move = make_bank(count)
+    its mean and the scheduler."""
+    bank, motion, positions, _ = make_bank(count)
     log_w = np.zeros(count)
-    banks = _scheduler(bank[None], log_w[None], positions, [rng], rough)
+    banks = _scheduler(bank[None], log_w[None], positions, [rng])
     banks.move([motion])
     banks.weigh([likelihood])
-    return bank, log_w, banks.means[0], rough, move
+    return bank, log_w, banks.means[0], banks
 
 
 @pytest.mark.parametrize("make_bank", [_cv_bank, _drift_bank], ids=["cv", "drift"])
 def test_bank_step_flat_increment_keeps_uniform_weights(make_bank):
-    before, _, _, _, move = make_bank()
+    before, _, _, move = make_bank()
     expected = move(np.random.default_rng(9).standard_normal(before.shape))
     rng = np.random.default_rng(9)
-    bank, log_w, mean, _, _ = _step_one(make_bank, _flat, rng)
+    bank, log_w, mean, banks = _step_one(make_bank, _flat, rng)
     # normalized in place, not reset: a resample would leave 0
     np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
     # no resample: the bank is the propagated one and the stream drew only the noise
     np.testing.assert_allclose(bank, expected, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(mean, bank.mean(axis=1), rtol=1e-12, atol=1e-12)
+    assert banks.resampled == [False]
     rest = np.random.default_rng(9)
     rest.standard_normal(bank.shape)
     assert rng.uniform() == rest.uniform()
@@ -291,43 +299,31 @@ def _collapse(points):
 
 
 def test_bank_step_collapse_resamples_in_place():
-    # with no roughening scales the resample only copies: the next move roughens
-    before, _, _, _, move = _cv_bank()
-    propagated = move(np.random.default_rng(2).standard_normal(before.shape))
-    rng = np.random.default_rng(2)
-    bank, log_w, mean, _, _ = _step_one(_cv_bank, _collapse, rng)
-    count = bank.shape[1]
-    np.testing.assert_array_equal(log_w, 0.0)
-    # every particle is an exact copy of the one that carried the weight
-    np.testing.assert_array_equal(bank, np.broadcast_to(propagated[:, 7:8], bank.shape))
-    # the mean weighs every particle alike
-    np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
-    # the stream drew the move noise and the resample offset, and no jitter
-    rest = np.random.default_rng(2)
-    rest.standard_normal(bank.shape)
-    rest.uniform()
-    assert rng.uniform() == rest.uniform()
-
-
-def test_bank_step_collapse_jitters_in_place_with_rough():
-    # formation's banks pass their roughening scales and are jittered at the resample
-    before, _, _, rough, move = _drift_bank()
-    propagated = move(np.random.default_rng(2).standard_normal(before.shape))
-    bank, log_w, mean, _, _ = _step_one(_drift_bank, _collapse, np.random.default_rng(2))
-    count = bank.shape[1]
-    np.testing.assert_array_equal(log_w, 0.0)
-    np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
-    # every particle is a distinct roughened copy of the one that carried the weight
-    spread = np.abs(bank - propagated[:, 7:8]).max(axis=1)
-    assert np.all(spread < 8.0 * rough)
-    assert len(np.unique(bank[0])) == count
+    # the resample only copies and flags the bank, for either motion: the caller roughens it
+    for make_bank in (_cv_bank, _drift_bank):
+        before, _, _, move = make_bank()
+        propagated = move(np.random.default_rng(2).standard_normal(before.shape))
+        rng = np.random.default_rng(2)
+        bank, log_w, mean, banks = _step_one(make_bank, _collapse, rng)
+        count = bank.shape[1]
+        np.testing.assert_array_equal(log_w, 0.0)
+        # every particle is an exact copy of the one that carried the weight
+        np.testing.assert_array_equal(bank, np.broadcast_to(propagated[:, 7:8], bank.shape))
+        # the mean weighs every particle alike
+        np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
+        assert banks.resampled == [True]
+        # the stream drew the move noise and the resample offset, and no jitter
+        rest = np.random.default_rng(2)
+        rest.standard_normal(bank.shape)
+        rest.uniform()
+        assert rng.uniform() == rest.uniform()
 
 
 def test_bank_step_after_collapse_moves_with_the_folded_factor():
     rng = np.random.default_rng(2)
-    bank, motion, positions, _, _ = _cv_bank()
+    bank, motion, positions, _ = _cv_bank()
     f, chol, chol_r = motion.args
-    banks = _scheduler(bank[None], np.zeros((1, bank.shape[1])), positions, [rng], None)
+    banks = _scheduler(bank[None], np.zeros((1, bank.shape[1])), positions, [rng])
     banks.move([motion])
     banks.weigh([_collapse])
     rest = np.random.default_rng(2)
@@ -373,10 +369,10 @@ _NON_FINITE = [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)
     + [pytest.param(v, e, _drift_bank, id=f"{v}-{e}-drift") for v, e in _NON_FINITE],
 )
 def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
-    bank, motion, positions, rough, _ = make_bank()
+    bank, motion, positions, _ = make_bank()
     particles = np.stack([bank] * 5)
     rngs = [np.random.default_rng(b) for b in range(5)]
-    banks = _scheduler(particles, np.zeros((5, bank.shape[1])), positions, rngs, rough)
+    banks = _scheduler(particles, np.zeros((5, bank.shape[1])), positions, rngs)
 
     def increment(points):
         inc = np.zeros(len(points))
@@ -388,7 +384,7 @@ def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
         banks.weigh([_flat, _flat, _flat, increment, _flat])
 
 
-def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough, scratch, index, resampled):
+def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, scratch, index, resampled):
     """One bank moved and weighed in a single call, bank after bank: the
     reference for the scheduler's bits. ``resampled[index]`` is the bank's
     flag for a resample whose roughening its next move carries."""
@@ -407,38 +403,31 @@ def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, rough
     if 1.0 / (w @ w) < 0.5 * count:
         idx = systematic_indices(w, count, rng)
         np.take(bank, idx, axis=1, out=moved)
-        if rough is None:
-            np.copyto(bank, moved)
-            resampled[index] = True
-        else:
-            rng.standard_normal(out=noise)
-            noise *= rough[:, None]
-            np.add(moved, noise, out=bank)
+        np.copyto(bank, moved)
+        resampled[index] = True
         w[:] = 1.0 / count
         log_w[:] = 0.0
     return w
 
 
-def _oracle_step_banks(particles, log_w, means, likelihoods, motions, positions, rngs, rough, scratch, resampled):
+def _oracle_step_banks(particles, log_w, means, likelihoods, motions, positions, rngs, scratch, resampled):
     for b, bank in enumerate(particles):
-        w = _oracle_bank_step(
-            bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], rough, scratch, b, resampled
-        )
+        w = _oracle_bank_step(bank, log_w[b], likelihoods[b], motions[b], positions, rngs[b], scratch, b, resampled)
         means[b] = bank @ w
 
 
 _BANKS, _COUNT = 12, 2000
 
 
-def _bank_stack(rough=None):
+def _bank_stack():
     """12 banks and their inputs; banks 1, 2, 5, 6, 9 and 10 resample, the
-    others do not. With ``rough`` None their next move roughens them."""
+    others do not. Their next move roughens them."""
     particles = np.random.default_rng(13).standard_normal((_BANKS, 4, _COUNT))
     log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (_BANKS, _COUNT))
     motions = [_cv_motion()] * _BANKS
     rngs = [np.random.default_rng(100 + b) for b in range(_BANKS)]
     likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(_BANKS)]
-    return particles, log_w, motions, rough, rngs, likelihoods
+    return particles, log_w, motions, rngs, likelihoods
 
 
 def _field_work():
@@ -446,8 +435,9 @@ def _field_work():
     return float(np.sort(np.random.default_rng(0).standard_normal(20_000)).sum())
 
 
-def _pool_equals_serial(workers, rough):
-    particles, log_w, motions, rough, rngs, _ = _bank_stack(rough)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_step_banks_pool_is_bit_equal_to_serial(workers):
+    particles, log_w, motions, rngs, _ = _bank_stack()
     # each bank collapses on two of the four ticks, so a bank's move follows
     # ticks with and without a resample
     ticks = [[_collapse if (b + t) % 4 in (1, 2) else _flat for b in range(_BANKS)] for t in range(4)]
@@ -457,32 +447,26 @@ def _pool_equals_serial(workers, rough):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-            banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, workers)
+            banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, pool, workers)
             for likelihoods in ticks:
                 banks.move(motions)
                 _field_work()
                 banks.weigh(likelihoods)
     finally:
         sys.setswitchinterval(interval)
-    want, want_log_w, motions, rough, rngs, _ = _bank_stack(rough)
+    want, want_log_w, motions, rngs, _ = _bank_stack()
     want_means = np.empty((_BANKS, 4))
     scratch = np.empty((2, 4, _COUNT))
     resampled = [False] * _BANKS
     for likelihoods in ticks:
         _oracle_step_banks(
-            want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, rough, scratch, resampled
+            want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, scratch, resampled
         )
     np.testing.assert_array_equal(particles, want)
     np.testing.assert_array_equal(log_w, want_log_w)
     np.testing.assert_array_equal(banks.means, want_means)
     assert [bool((row == 0.0).all()) for row in log_w] == [(b + 3) % 4 in (1, 2) for b in range(_BANKS)]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_step_banks_pool_is_bit_equal_to_serial(workers):
-    # benchmark 1's banks fold their roughening into the next move, formation's jitter in place
-    for rough in (None, _CV_ROUGH):
-        _pool_equals_serial(workers, rough)
+    assert banks.resampled == resampled
 
 
 def _fail_on_pool(phase):
@@ -490,7 +474,7 @@ def _fail_on_pool(phase):
     or the likelihoods (``phase`` weigh) raising on the pool thread alone."""
     # the calling thread waits until the pool thread has failed, so a bank is
     # sure to have been taken there
-    particles, log_w, motions, rough, rngs, likelihoods = _bank_stack()
+    particles, log_w, motions, rngs, likelihoods = _bank_stack()
     caller, failed = threading.get_ident(), threading.Event()
 
     def on_pool(work):
@@ -511,7 +495,7 @@ def _fail_on_pool(phase):
     else:
         likelihoods = [on_pool(lik) for lik in likelihoods]
     with ThreadPoolExecutor(1) as pool:
-        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, 2)
+        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, pool, 2)
         banks.move(motions)
         if phase == "move":
             assert failed.wait(10.0)
@@ -533,7 +517,7 @@ def test_step_banks_pool_error_reaches_caller():
 def test_step_banks_caller_weighs_last_bank_first_and_waits_on_error():
     # the calling thread weighs the last bank, benchmark 1's reference, before
     # any other; when that fails, the call still waits for the pool thread
-    particles, log_w, motions, rough, rngs, _ = _bank_stack()
+    particles, log_w, motions, rngs, _ = _bank_stack()
     caller, started = threading.get_ident(), threading.Event()
     on_caller = []
 
@@ -548,7 +532,7 @@ def test_step_banks_caller_weighs_last_bank_first_and_waits_on_error():
         return np.zeros(len(points))
 
     with ThreadPoolExecutor(1) as pool:
-        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, rough, pool, 2)
+        banks = _scheduler(particles, log_w, slice(None, None, 2), rngs, pool, 2)
         banks.move(motions)
         with pytest.raises(RuntimeError, match="weigh failed"):
             banks.weigh([partial(likelihood, b) for b in range(_BANKS)])
@@ -564,7 +548,7 @@ def test_step_banks_caller_weighs_last_bank_first_and_waits_on_error():
 def test_step_banks_field_error_leaves_no_moves_running(monkeypatch):
     # two usable CPUs give the scheduler its pool thread on any box
     monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0, 1})
-    particles, log_w, motions, rough, rngs, _ = _bank_stack()
+    particles, log_w, motions, rngs, _ = _bank_stack()
     moves = []
 
     def slow(*args):
@@ -574,7 +558,7 @@ def test_step_banks_field_error_leaves_no_moves_running(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="fields failed"):
-        with scenarios._bank_workers(particles, log_w, np.empty((_BANKS, 4)), slice(None, None, 2), rngs, rough) as banks:
+        with scenarios._bank_workers(particles, log_w, np.empty((_BANKS, 4)), slice(None, None, 2), rngs) as banks:
             banks.move([slow] * _BANKS)
             raise RuntimeError("fields failed")
     assert threading.active_count() == before
@@ -763,12 +747,8 @@ def test_scenario2_runs_without_sensing_agents():
     assert math.isfinite(res.summary["steady_state_mse"]) and res.summary["steady_state_mse_central"] > 0
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_scenario2_central_rows_are_centralized_info_step(seed):
-    # the centralized filter rides in the agents' stack as its last row; it
-    # must keep every bit of the separate multi-sensor filter
-    cfg = tiny_benchmark(seed=seed, n_agents=9, n_toa=3, n_doa=2, dt=0.05, duration=1.5)
-    res = run_benchmark_scenario2(cfg)
+def _scenario2_inputs(cfg):
+    """Benchmark 2's truth, measurement noise, linear model and prior state."""
     truth_m, noise_m = master_trajectory(cfg)
     n_sensing = cfg.n_toa + cfg.n_doa
     f, q = target_dynamics_cv(cfg.dt)
@@ -782,7 +762,17 @@ def test_scenario2_central_rows_are_centralized_info_step(seed):
     )
     p0 = np.diag([cfg.prior_pos_sigma**2, cfg.prior_vel_sigma**2] * 2)
     x0 = truth_m[0] + np.sqrt(np.diag(p0)) * named_stream(cfg.seed, "prior").standard_normal(4)
-    state = InfoState.from_moments(x0, p0)
+    return truth_m, noise_m, model, InfoState.from_moments(x0, p0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scenario2_central_rows_are_centralized_info_step(seed):
+    # the centralized filter rides in the agents' stack as its last row; it
+    # must keep every bit of the separate multi-sensor filter
+    cfg = tiny_benchmark(seed=seed, n_agents=9, n_toa=3, n_doa=2, dt=0.05, duration=1.5)
+    res = run_benchmark_scenario2(cfg)
+    truth_m, noise_m, model, state = _scenario2_inputs(cfg)
+    n_sensing = cfg.n_toa + cfg.n_doa
     expected = []
     for k in range(1, cfg.steps + 1):
         truth_xy = truth_m[k * cfg.stride, [0, 2]]
@@ -790,6 +780,39 @@ def test_scenario2_central_rows_are_centralized_info_step(seed):
         x, p, state = centralized_info_step(state, model, ys)
         expected += [(k, -1, "sq_err", float(((x[::2] - truth_xy) ** 2).sum())), (k, -1, "trace_p", float(np.trace(p)))]
     assert [row for row in res.rows if row[1] == -1] == expected
+
+
+@pytest.mark.parametrize("seed, n_toa, n_doa", [(1, 3, 2), (2, 3, 2), (3, 0, 0)])
+def test_scenario2_agent_rows_equal_a_separate_consensus_stack(seed, n_toa, n_doa):
+    # the reference keeps the agents' consensus pairs in their own n-row
+    # stack mixed by A and gives row n of the filter stack a zero pair; one
+    # (n + 1)-row stack mixed by [[A, 0], [0, 1]] must keep every bit of it
+    cfg = tiny_benchmark(seed=seed, n_agents=9, n_toa=n_toa, n_doa=n_doa, dt=0.05, duration=1.5)
+    res = run_benchmark_scenario2(cfg)
+    truth_m, noise_m, model, prior = _scenario2_inputs(cfg)
+    n, n_sensing = cfg.n_agents, n_toa + n_doa
+    states = InfoState(z=np.tile(prior.z, (n + 1, 1)), Z=np.tile(prior.Z, (n + 1, 1, 1)))
+    agents = InfoState(z=states.z[:n], Z=states.Z[:n])
+    estimates, expected = [], []
+    for k in range(1, cfg.steps + 1):
+        truth_xy = truth_m[k * cfg.stride, [0, 2]]
+        ys = truth_xy + math.sqrt(cfg.r_linear) * noise_m[k * cfg.stride, :n_sensing]
+        i_new, big_i_new = np.zeros((n, 4)), np.zeros((n, 4, 4))
+        i_new[:n_sensing], big_i_new[:n_sensing] = info_measurement(ys, model, np.arange(n_sensing))
+        pred = info_predict(states, model)
+        agents = info_fuse(agents, i_new, big_i_new, benchmark_layout(cfg).adjacency.values, k, n)
+        pred.z[n] = np.add.reduce(np.concatenate((pred.z[n:], i_new[:n_sensing])))
+        pred.Z[n] = np.add.reduce(np.concatenate((pred.Z[n:], big_i_new[:n_sensing])))
+        t = np.concatenate((agents.t, np.zeros((1, 4))))
+        big_t = np.concatenate((agents.T, np.zeros((1, 4, 4))))
+        x, p, states = info_update(replace(pred, t=t, T=big_t))
+        estimates.append(x[:n, ::2])
+        sq_err = ((x[:n, ::2] - truth_xy) ** 2).sum(axis=1)
+        trace_p = np.trace(p[:n], axis1=1, axis2=2)
+        for i in range(n):
+            expected += [(k, i, "sq_err", float(sq_err[i])), (k, i, "trace_p", float(trace_p[i]))]
+    assert [row for row in res.rows if row[1] != -1] == expected
+    np.testing.assert_array_equal(res.estimates, np.stack(estimates))
 
 
 def test_scenario2_deterministic():
@@ -950,6 +973,41 @@ def test_formation_leaves_no_threads(monkeypatch):
     with pytest.raises(DbfError, match="particle bank 5 "):
         run_formation(cfg)
     assert threading.active_count() == before
+
+
+def test_formation_roughens_resampled_banks_in_place(monkeypatch):
+    # every bank collapses onto its particle 7 on tick 1; formation then adds
+    # a jitter drawn from the bank's stream after its resample offset
+    cfg = FormationConfig(seed=5, n_agents=3, particles=200, ticks=1, grid_cells=(16, 16))
+    monkeypatch.setattr(StateGrid, "log_interp", lambda grid, row, points: _collapse(points))
+    schedulers, copies = [], []
+    bank_workers = scenarios._bank_workers
+
+    @contextmanager
+    def record(*args):
+        with bank_workers(*args) as banks:
+            weigh = banks.weigh
+            banks.weigh = lambda likelihoods: (weigh(likelihoods), copies.append(banks.particles.copy()))
+            schedulers.append(banks)
+            yield banks
+
+    monkeypatch.setattr(scenarios, "_bank_workers", record)
+    run_formation(cfg)
+    (banks,), (copied,) = schedulers, copies
+    rough = 0.25 * float(cfg.position_grid().widths.min())
+    count = cfg.particles
+    assert banks.resampled == [True] * 9
+    for b, (bank, source) in enumerate(zip(banks.particles, copied)):
+        np.testing.assert_array_equal(source, np.broadcast_to(source[:, :1], source.shape))
+        rng = named_stream(cfg.seed, "formation-pf", b)
+        rng.standard_normal(bank.shape)
+        rng.uniform()
+        np.testing.assert_array_equal(bank, source + rough * rng.standard_normal(bank.shape))
+        # every particle is a distinct roughened copy of the one that carried the weight
+        assert np.all(np.abs(bank - source).max(axis=1) < 8.0 * rough)
+        assert len(np.unique(bank[0])) == count
+        # the controls read the jittered mean
+        np.testing.assert_array_equal(banks.means[b], bank @ np.full(count, 1.0 / count))
 
 
 # ---------------------------------------------------------------- multiloop
