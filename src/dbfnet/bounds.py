@@ -82,8 +82,8 @@ def _max_interval(p: ConvergenceParams, window: int) -> float:
 
 def _steady_delta(p: ConvergenceParams, window: int, delta_t: float) -> float:
     # exp(n c) - 1 with the error budgets in the drift; math.inf once it overflows
-    if delta_t <= 0:
-        raise DomainError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise DomainError(f"delta_t must be positive and finite, got {delta_t!r}")
     drift = delta_t * p.theta_l + 2.0 * p.eps_l + p.eps_u
     c = 2.0 * window * math.sqrt(p.n) * drift / (1.0 - p.sigma_m)
     try:
@@ -129,8 +129,8 @@ def kappa(p: ConvergenceParams) -> int:
 
 def xi_trajectory(p: ConvergenceParams, delta_t: float, k_max: int) -> np.ndarray:
     """Envelope Xi_k for k = 1 .. k_max at sampling interval delta_t."""
-    if delta_t <= 0:
-        raise DomainError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise DomainError(f"delta_t must be positive and finite, got {delta_t!r}")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     w = p.window
@@ -208,8 +208,8 @@ def multiloop_bound(n: int, sigma_a: float, n_loop: int) -> float:
 
 def estimate_theta_l(pairs: Sequence[tuple[DensityGrid, DensityGrid]], delta_t: float) -> float:
     """Empirical drift rate: max cell-wise |log L_k - log L_{k-1}| / delta_t."""
-    if delta_t <= 0:
-        raise DomainError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise DomainError(f"delta_t must be positive and finite, got {delta_t!r}")
     if len(pairs) == 0:
         raise DomainError("need at least one consecutive pair")
     worst = 0.0

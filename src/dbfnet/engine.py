@@ -6,15 +6,18 @@ previous fusion states with its likelihood increment, raises the fusion state
 to the agent count to approximate the joint likelihood, and runs the Bayes
 update. The fusion recursion for agent i at tick k (k >= 2) is
 
-    U_k^i = normalize( prod_j (U_{k-1}^j)^{A[i, j]} * L_k^i / L_{k-1}^i ),
+    U_k^i = normalize( prod_j (U~_{k-1}^{ij})^{A[i, j]} * L_k^i / L_{k-1}^i ),
 
-with U_1^i = L_1^i. The power estimate T_k^i = normalize((U_k^i)^n) tracks
-the normalized product of all agents' current likelihoods.
+with U_1^i = L_1^i, where U~^{ij} is U^j as agent i received it, corrupted
+within eps_u by a noisy channel (U~^{ii} = U^i). The power estimate T_k^i =
+normalize((U_k^i)^n) tracks the normalized product of all agents' current
+likelihoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,13 +112,17 @@ class ChannelNoise:
     def from_seed(cls, eps_u: float, eps_l: float, seed: int) -> "ChannelNoise":
         return cls(eps_u, eps_l, np.random.default_rng(seed))
 
+    def corrupt(self, grid: StateGrid, rows: np.ndarray, eps: float) -> np.ndarray:
+        """New (m, cells) log rows: each cell of ``rows`` shifted by a uniform draw
+        in [-eps, eps], in row-major order, then renormalized and floored."""
+        return floor_and_normalize_rows(grid, rows + self.rng.uniform(-eps, eps, size=rows.shape))
+
 
 def inject_channel_noise(u: DensityGrid, noise: ChannelNoise) -> DensityGrid:
     """Corrupt a communicated fusion density within the channel budget."""
     if noise.eps_u == 0.0:
         return u
-    xi = noise.rng.uniform(-noise.eps_u, noise.eps_u, size=u.grid.n_cells)
-    return DensityGrid.from_log(u.grid, u.log_values + xi)
+    return DensityGrid.rows(u.grid, noise.corrupt(u.grid, u.log_values[None], noise.eps_u))[0]
 
 
 @dataclass(frozen=True)
@@ -216,27 +223,6 @@ class StepDiagnostics:
     l1_to_joint: np.ndarray
 
 
-def _channel_correction(
-    log_u: np.ndarray, a: np.ndarray, noise: ChannelNoise, grid: StateGrid
-) -> np.ndarray:
-    """Change to each receiver's row of ``a @ log_u`` from corrupted copies.
-
-    Every copy agent i receives from j != i with a[i, j] > 0 is corrupted and
-    renormalized on its own; the draws run in row-major order of (i, j).
-    """
-    rows, cols = np.nonzero(a)
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    xi = noise.rng.uniform(-noise.eps_u, noise.eps_u, size=(rows.size, grid.n_cells))
-    sent = log_u[cols]
-    change = floor_and_normalize_rows(grid, sent + xi)
-    change -= sent
-    change *= a[rows, cols][:, None]
-    correction = np.zeros_like(log_u)
-    np.add.at(correction, rows, change)
-    return correction
-
-
 def dbf_step(
     agents: Sequence[AgentState],
     adjacency,
@@ -269,8 +255,7 @@ def dbf_step(
     )
     log_l = log_true
     if noise is not None and noise.eps_l > 0:
-        xi = noise.rng.uniform(-noise.eps_l, noise.eps_l, size=log_true.shape)
-        log_l = floor_and_normalize_rows(grid, log_true + xi)
+        log_l = noise.corrupt(grid, log_true, noise.eps_l)
 
     if target_model is None:
         log_s = np.stack([st.w.log_values for st in agents])
@@ -291,12 +276,9 @@ def dbf_step(
         for j in senders:
             log_u_prev[j] = agents[j].u.log_values
         log_l_prev = np.stack([st.l.log_values for st in agents])
-        # corrupted copies change a @ U per receiver; consensus_update adds
-        # that change along with the likelihood increment
-        log_l_mixed = log_l
-        if noise is not None and noise.eps_u > 0:
-            log_l_mixed = log_l + _channel_correction(log_u_prev, a_pos, noise, grid)
-        log_u = consensus_update(log_u_prev, log_l_mixed, log_l_prev, a_pos, vol)
+        noisy = noise is not None and noise.eps_u > 0
+        channel = partial(noise.corrupt, grid, eps=noise.eps_u) if noisy else None
+        log_u = consensus_update(log_u_prev, log_l, log_l_prev, a_pos, vol, channel)
 
     log_t = power_rows(log_u, n, vol)
     # the posterior rows, then the joint row
@@ -340,7 +322,8 @@ def multiloop_fuse(
     norms = []
     for loop in range(1, n_loop + 1):
         if loop > 1:
-            log_u = normalize_rows(mix @ log_u, grid.cell_volume)
+            # a zero likelihood increment: the rows are floored and finite
+            log_u = consensus_update(log_u, log_u, log_u, mix, grid.cell_volume)
         log_t = power_rows(log_u, n, grid.cell_volume)
         norms.append(float(np.linalg.norm(l1_rows(log_t, joint.log_values, grid.cell_volume))))
     fusion = list(likelihoods) if n_loop == 1 else DensityGrid.rows(grid, log_u)
@@ -354,14 +337,17 @@ def consensus_update(
     log_l_prev: np.ndarray | None,
     a: np.ndarray,
     cell_volume: float,
+    channel: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Stacked fusion for all agents at once; rows are per-agent log fields.
+    """The one fusion step of the recursion, for all agents at once.
 
-    Stacks are (n, ..., cells), one leading row per agent. Equivalent to
-    per-agent ``fuse`` on each field followed by normalization and flooring,
-    but runs as one mix ``a @ U`` on the (n, -1) view, in column blocks small
-    enough that BLAS runs each on the calling thread. Pass
-    ``log_l_prev=None`` for tick 1 or a restart.
+    Stacks are (n, ..., cells), one leading row per agent, and row i becomes
+    ``normalize(sum_j a[i, j] U~^{ij} + log_l[i] - log_l_prev[i])``. The mix
+    runs as one ``a @ U`` on the (n, -1) view, in column blocks small enough
+    that BLAS runs each on the calling thread. ``channel`` maps the (m, cells)
+    copies of ``log_u_prev`` rows sent over the edges j -> i, i != j and
+    a[i, j] > 0 in row-major order, to the copies received; without it every
+    copy arrives exact. Pass ``log_l_prev=None`` for tick 1 or a restart.
     """
     if log_l_prev is None:
         raw = log_l.copy()
@@ -377,7 +363,17 @@ def consensus_update(
         for c in range(0, flat.shape[1], width):
             block = slice(c, c + width)
             np.matmul(a, flat_u[:, block], out=flat[:, block])
-        raw += log_l - log_l_prev
+        increment = log_l
+        if channel is not None:
+            # each received copy changes its receiver's row of a @ U
+            rows, cols = np.nonzero(a * ~np.eye(len(a), dtype=bool))
+            sent = log_u_prev[cols]
+            change = channel(sent) - sent
+            change *= a[rows, cols][:, None]
+            correction = np.zeros_like(log_u_prev)
+            np.add.at(correction, rows, change)
+            increment = log_l + correction
+        raw += increment - log_l_prev
     return normalize_rows(raw, cell_volume)
 
 

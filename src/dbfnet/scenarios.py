@@ -24,7 +24,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from queue import Empty, SimpleQueue
 from typing import Callable, Iterator
@@ -63,19 +63,35 @@ from .topology import (
 DT_MASTER = 0.01
 
 
-def _check_integers(cfg, *names: str) -> None:
-    """Reject a seed or count of ``cfg`` that is not an int; a bool is not one either."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+# field annotation -> what a value must be, and the test of it
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int)),
+    "float": ("a finite real", _finite_real),
+    "float | None": ("a finite real or null", lambda v: v is None or _finite_real(v)),
+}
+
+
+def _check_types(cfg) -> None:
+    """Reject a field of ``cfg`` whose value does not fit its ``int`` or
+    ``float`` annotation: an int, a finite real; a bool is neither."""
+    for f in fields(cfg):
+        what, fits = _FIELD_TYPES.get(f.type, (None, None))
+        value = getattr(cfg, f.name)
+        if fits is not None and (isinstance(value, bool) or not fits(value)):
+            raise ConfigInvalid(f"{f.name} must be {what}, got {value!r}")
 
 
 def _entries(name: str, value, size: int, kind: type) -> tuple:
-    """``value`` as a tuple of ``size`` entries of ``kind``, none of them a bool."""
+    """``value`` as a tuple of ``size`` finite entries of ``kind``, none of them a bool."""
     entries = tuple(value) if np.iterable(value) else ()
-    if len(entries) != size or not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries):
-        raise ConfigInvalid(f"{name} must list {size} numbers of type {kind.__name__}, got {value!r}")
+    if len(entries) != size or not all(
+        isinstance(v, kind) and not isinstance(v, bool) and (kind is int or math.isfinite(v)) for v in entries
+    ):
+        raise ConfigInvalid(f"{name} must list {size} finite numbers of type {kind.__name__}, got {value!r}")
     return entries
 
 
@@ -146,11 +162,13 @@ class BenchmarkConfig:
     prior_vel_sigma: float = 3.0
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "n_agents", "n_toa", "n_doa", "particles")
+        _check_types(self)
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigInvalid("dt and duration must be positive")
+        if not math.isfinite(self.duration / self.dt):
+            raise ConfigInvalid(f"duration / dt must give a finite step count, got {self.duration!r} / {self.dt!r}")
         stride = self.dt / DT_MASTER
-        if abs(stride - round(stride)) > 1e-9:
+        if not math.isfinite(stride) or round(stride) < 1 or abs(stride - round(stride)) > 1e-9:
             raise ConfigInvalid(f"dt must be a multiple of the master interval {DT_MASTER}")
         if self.n_agents < 1 or self.n_toa < 0 or self.n_doa < 0:
             raise ConfigInvalid("agent counts must be nonnegative")
@@ -686,7 +704,7 @@ class FormationConfig:
     consensus_reset: int = 10
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "n_agents", "particles", "ticks", "consensus_reset")
+        _check_types(self)
         if self.n_agents < 3:
             raise ConfigInvalid("formation needs at least three agents")
         if self.apf_gain <= 0 or self.spacing <= 0 or self.dt <= 0:
@@ -905,7 +923,7 @@ class MultiloopConfig:
     grid_points: int = 64
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "n_agents", "n_loop", "grid_points")
+        _check_types(self)
         if self.n_agents < 2:
             raise ConfigInvalid("need at least two agents")
         if self.n_loop < 1:

@@ -57,6 +57,22 @@ def test_params_validation():
     assert params(n=4, b=2).window == 6
 
 
+@pytest.mark.parametrize("delta_t", [math.nan, math.inf, 0.0, -0.1])
+def test_every_interval_entry_rejects_a_delta_t_that_is_not_positive_and_finite(delta_t):
+    # nan passes a test of delta_t <= 0, so each entry tests 0 < delta_t < inf
+    p = params()
+    d = DensityGrid.uniform(StateGrid((0.0,), (1.0,), (4,)))
+    for entry in (
+        lambda: delta_min(p, delta_t),
+        lambda: steady_state_delta(p, delta_t),
+        lambda: static_bounds(p, 0.5, delta_t),
+        lambda: xi_trajectory(p, delta_t, 5),
+        lambda: estimate_theta_l([(d, d)], delta_t),
+    ):
+        with pytest.raises(DomainError, match="delta_t must be positive and finite"):
+            entry()
+
+
 # ---------------------------------------------------------------- delta_max
 
 

@@ -213,6 +213,33 @@ def test_run_rejects_a_malformed_count_or_box(tmp_path, capsys, scenario, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, args, field",
+    [
+        ("benchmark1", ["--dt", "nan"], "dt"),
+        ("benchmark1", ["--set", "region=[0,NaN,0,120]"], "region"),
+        ("benchmark2", ["--dt", "nan"], "dt"),
+        ("benchmark2", ["--dt", "inf"], "dt"),
+        ("benchmark2", ["--dt", "1e308"], "dt"),
+        ("benchmark2", ["--dt", "1e-12", "--set", "duration=1e-10"], "dt"),
+        ("benchmark2", ["--set", "duration=1e308"], "duration"),
+        ("benchmark2", ["--set", "sigma_r=NaN"], "sigma_r"),
+        ("benchmark2", ["--set", "comm_radius=NaN"], "comm_radius"),
+        ("benchmark2", ["--set", "eta=true"], "eta"),
+        ("formation", ["--set", "dt=NaN", "--set", "ticks=3"], "dt"),
+        ("formation", ["--set", "half_width=Infinity"], "half_width"),
+        ("formation", ["--set", "apf_gain=\"0.1\""], "apf_gain"),
+    ],
+)
+def test_run_rejects_a_float_field_that_is_not_a_finite_real(tmp_path, capsys, scenario, args, field):
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", scenario, *args, "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- bounds
 
 
@@ -345,6 +372,14 @@ def test_bounds_budget_exhausted_is_exit_two(capsys):
     )
     assert code == 2
 
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.1"])
+def test_bounds_rejects_a_dt_min_that_is_not_positive_and_finite(capsys, value):
+    code = run_cli("bounds", "-N", "5", "--theta-l", "4", "--sigma-m", "0.4", "--delta", "0.3", "--dt-min", value)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "delta_t must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--d1", "--eps-u", "--eps-l"])

@@ -1,11 +1,12 @@
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbfnet.density import DensityGrid, StateGrid, l1_distance, normalize_rows
+from dbfnet.density import DensityGrid, StateGrid, floor_and_normalize_rows, l1_distance, l1_rows, normalize_rows
 from dbfnet.engine import (
     AgentState,
     ChannelNoise,
@@ -630,6 +631,27 @@ def test_multiloop_errors_within_spectral_bound():
             assert err <= sigma_a ** (loop - 1) * 2.0 * np.sqrt(n) + 1e-9
 
 
+@pytest.mark.parametrize("n, cells, loops", [(2, 8, 2), (3, 48, 5), (5, 64, 12), (7, 300, 6), (50, 200, 3)])
+def test_multiloop_fuse_is_a_written_out_log_pool_loop(n, cells, loops):
+    # every loop after the first is normalize_rows(mix @ U), bit for bit; 50
+    # agents mix in several 64-column blocks
+    rng = np.random.default_rng(n * 1000 + cells)
+    g = grid_1d(-4.0, 4.0, cells)
+    a = metropolis_weights(random_connected_graph(n, rng))
+    liks = [DensityGrid.gaussian(g, float(rng.uniform(-2, 2)), [[float(rng.uniform(0.3, 2.0))]]) for _ in range(n)]
+    res = multiloop_fuse(liks, a, loops)
+    joint = joint_likelihood(liks).log_values
+    log_u = np.stack([p.log_values for p in liks])
+    for loop in range(1, loops + 1):
+        if loop > 1:
+            log_u = normalize_rows(a.values @ log_u, g.cell_volume)
+        log_t = power_rows(log_u, n, g.cell_volume)
+        norm = np.linalg.norm(l1_rows(log_t, joint, g.cell_volume))
+        assert res.error_norms[loop - 1].tobytes() == norm.tobytes()
+    np.testing.assert_array_equal(np.stack([u.log_values for u in res.fusion]), log_u, strict=True)
+    np.testing.assert_array_equal(np.stack([t.log_values for t in res.estimates]), log_t, strict=True)
+
+
 # ------------------------------------------------------------- stacked form
 
 
@@ -719,6 +741,42 @@ def test_stacked_fields_match_one_call_per_field(first_tick):
         one = consensus_update(u_prev[:, f], l_cur[:, f], None if first_tick else l_prev[:, f], a, vol)
         np.testing.assert_allclose(stacked[:, f], one, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(powered[:, f], power_rows(one, n, vol), rtol=1e-13, atol=0.0)
+
+
+def _per_copy_correction(log_u, a, rng, eps, grid):
+    """The change corrupted copies make to each receiver's row of a @ U.
+
+    Every copy agent i receives from j != i with a[i, j] > 0 is corrupted
+    and renormalized on its own; the draws run in row-major order of (i, j).
+    """
+    rows, cols = np.nonzero(a)
+    keep = rows != cols
+    rows, cols = rows[keep], cols[keep]
+    xi = rng.uniform(-eps, eps, size=(rows.size, grid.n_cells))
+    sent = log_u[cols]
+    change = floor_and_normalize_rows(grid, sent + xi)
+    change -= sent
+    change *= a[rows, cols][:, None]
+    correction = np.zeros_like(log_u)
+    np.add.at(correction, rows, change)
+    return correction
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), cells=st.integers(2, 80), seed=st.integers(0, 2**16), eps=st.floats(0.01, 0.2))
+def test_consensus_update_channel_matches_per_copy_correction(n, cells, seed, eps):
+    rng = np.random.default_rng(seed)
+    g = grid_1d(-4.0, 4.0, cells)
+    a = metropolis_weights(random_connected_graph(n, rng)).values
+    u_prev, l_cur, l_prev = (floor_and_normalize_rows(g, rng.uniform(-6, 0, (n, cells))) for _ in range(3))
+    noise = ChannelNoise.from_seed(eps, 0.0, seed)
+    got = consensus_update(u_prev, l_cur, l_prev, a, g.cell_volume, partial(noise.corrupt, g, eps=eps))
+    oracle_rng = np.random.default_rng(seed)
+    expected = a @ u_prev
+    expected += (l_cur + _per_copy_correction(u_prev, a, oracle_rng, eps, g)) - l_prev
+    normalize_rows(expected, g.cell_volume)
+    np.testing.assert_array_equal(got, expected, strict=True)
+    assert noise.rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_power_rows_matches_power_estimate():
