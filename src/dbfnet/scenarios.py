@@ -3,14 +3,19 @@
 Scenario 1 tracks a constant-velocity target with range and bearing sensors
 through the full density fusion pipeline on a position grid, with a particle
 filter carrying each agent's Bayes recursion and one more bank, stepped the
-same way, carrying the centralized reference. Scenario 2 swaps the sensors
-for linear position sensors and runs the information-filter specialization.
-The formation task closes the loop: agents steer with artificial potentials
-acting on fused position estimates of one another. Benchmark 1 and
-formation share one fusion kernel (``engine.consensus_update`` and
-``power_rows``) and one particle-bank scheduler: the banks move on a pool
-thread while the calling thread fuses the fields, then both threads weigh
-banks taken from one queue. Their outputs do not depend on the thread count.
+same way, carrying the centralized reference. Its particles sample position
+only: the velocity is linear and Gaussian given the position path, so each
+particle carries its velocity's mean and the bank one shared variance, as in
+a marginalized particle filter (``_MarginalMotion``). Scenario 2 swaps the
+sensors for linear position sensors and runs the information-filter
+specialization. The formation task closes the loop: agents steer with
+artificial potentials acting on fused position estimates of one another.
+Benchmark 1 and formation share one fusion kernel
+(``engine.consensus_update`` and ``power_rows``) and one particle-bank
+scheduler: the banks move on a pool thread while the calling thread fuses
+the fields, then both threads weigh banks taken from one queue. A move draws
+noise for a bank's position rows only, the rows its likelihood reads. Their
+outputs do not depend on the thread count.
 
 All scenarios replay one master trajectory generated at a fine reference
 interval, so runs at different sampling intervals see the same physical
@@ -178,8 +183,9 @@ class BenchmarkConfig:
             raise ConfigInvalid("need at least one particle")
         if self.sigma_r <= 0 or self.sigma_theta_deg <= 0 or self.r_linear <= 0:
             raise ConfigInvalid("noise scales must be positive")
-        if self.noise_tau < 0:
-            raise ConfigInvalid("noise_tau must be nonnegative")
+        for name in ("noise_tau", "comm_radius", "prior_pos_sigma", "prior_vel_sigma"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not (0.0 < self.eta < 1.0 and 0.0 < self.delta_target < 2.0 / (1.0 + self.eta)):
             raise ConfigInvalid("need eta in (0, 1) and delta_target in (0, 2 / (1 + eta))")
         xmin, xmax, ymin, ymax = _entries("region", self.region, 4, numbers.Real)
@@ -304,15 +310,6 @@ def master_trajectory(cfg: BenchmarkConfig) -> tuple[np.ndarray, np.ndarray]:
     return truth, meas_noise
 
 
-def _init_particles(cfg: BenchmarkConfig, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    p = np.empty((cfg.particles, 4))
-    p[:, 0] = center[0] + cfg.prior_pos_sigma * rng.standard_normal(cfg.particles)
-    p[:, 1] = center[1] + cfg.prior_vel_sigma * rng.standard_normal(cfg.particles)
-    p[:, 2] = center[2] + cfg.prior_pos_sigma * rng.standard_normal(cfg.particles)
-    p[:, 3] = center[3] + cfg.prior_vel_sigma * rng.standard_normal(cfg.particles)
-    return p
-
-
 def _scenario1_measurements(
     cfg: BenchmarkConfig, layout: Layout, truth_row: np.ndarray, noise_row: np.ndarray
 ) -> np.ndarray:
@@ -369,17 +366,47 @@ def _scenario1_log_likelihoods(
     return log_l
 
 
-def _linear_motion(
-    f: np.ndarray, chol: np.ndarray, chol_r: np.ndarray, bank, noise, moved, resampled: bool
-) -> None:
-    """Move a bank by x <- F x + C w in place; ``moved`` is a spare buffer.
+class _MarginalMotion:
+    """Benchmark 1's constant-velocity move of one bank, with the velocity
+    integrated out as in a marginalized particle filter.
 
-    C is ``chol``, the factor of Q, or after a resample that drew no jitter
-    ``chol_r``, the factor of Q + F R^2 F^T: one draw then carries both the
-    process noise and the roughening."""
-    np.matmul(f, bank, out=moved)
-    np.matmul(chol_r if resampled else chol, noise, out=bank)
-    bank += moved
+    The bank's rows are (x, m_x, y, m_y): each particle's position and the
+    mean of its velocity given the particle's path. ``var_v`` is the velocity
+    variance s, one value for every particle and both axes, because its
+    Riccati recursion reads no particle. Per axis, with the process noise
+    block Q1 = [[q11, q12], [q12, q22]], a move draws p' from its predictive
+    law and conditions v' on it:
+
+        var_p = dt^2 s + q11,  c = dt s + q12,  K = c / var_p,
+        e = sqrt(var_p) w,  p <- p + dt m + e,  m <- m + K e,  s <- s + q22 - K c.
+
+    The move after a resample carries the roughening of the copies: s first
+    grows by ``rough_vel``^2 and var_p adds ``rough_pos``^2, the law of
+    jittering (p, v) by (rough_pos w1, rough_vel w2) before the move. So only
+    the position rows take noise, one (2, P) fill per move; ``moved`` is a
+    spare (4, P) buffer.
+    """
+
+    def __init__(self, dt: float, q1: np.ndarray, rough_pos: float, rough_vel: float, var_v: float) -> None:
+        self.dt = dt
+        self.q11, self.q12, self.q22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
+        self.rough_pos2, self.rough_vel2 = rough_pos**2, rough_vel**2
+        self.var_v = var_v
+
+    def __call__(self, bank, noise, moved, resampled: bool) -> None:
+        dt = self.dt
+        s = self.var_v + (self.rough_vel2 if resampled else 0.0)
+        var_p = dt * dt * s + self.q11 + (self.rough_pos2 if resampled else 0.0)
+        c = dt * s + self.q12
+        gain = c / var_p
+        self.var_v = s + self.q22 - gain * c
+        step = moved[::2]
+        np.multiply(bank[1::2], dt, out=step)
+        noise *= math.sqrt(var_p)
+        step += noise
+        bank[::2] += step
+        noise *= gain
+        bank[1::2] += noise
 
 
 def _drift_motion(
@@ -397,30 +424,32 @@ class _BankScheduler:
     """One tick of a stack of (d, P) particle banks, in two phases.
 
     ``move(motions)`` queues every bank's move, ``motions[b](bank, noise,
-    moved, resampled)`` on standard normal noise, and starts the pool's
-    threads on the queue, so that the calling thread is free for other work
-    until ``weigh(likelihoods)``. That takes the moves still queued and waits
-    for the rest, then weighs every bank: it adds ``likelihoods[b]`` of the
-    (P, k) particle positions, the bank's rows ``positions``, to the log
+    moved, resampled)`` on standard normal noise of the shape of the bank's
+    rows ``positions`` (benchmark 1's two position rows, all of a formation
+    bank), and starts the pool's threads on the queue, so that the calling
+    thread is free for other work until ``weigh(likelihoods)``. That takes
+    the moves still queued and waits for the rest, then weighs every bank: it
+    adds ``likelihoods[b]`` of the (P, k) particle positions to the log
     weights, normalizes them in place, and when the effective sample size
     falls below half the bank does a systematic resample; the weighted mean
-    goes into ``means``. A resample only copies the chosen particles and sets
-    ``resampled[b]``, which the bank's next move receives and clears; the
-    caller roughens the copies. The calling thread weighs the last bank
-    (benchmark 1's reference, the heaviest) first and every thread takes the
-    others from one queue. Worker 0 is the calling thread and worker w its
-    (2, d, P) slice of the (W, 2, d, P) ``scratch``, ``noise`` and ``moved``,
-    so that a tick allocates no bank-sized temporaries. A bank's stream draws
-    its move noise before its resample offset, so the results do not depend
-    on which thread took which bank; numpy releases the GIL in the bank-sized
-    calls. Weights with no finite mass (a NaN or +inf increment, or every
-    particle at -inf) raise ``DbfError`` naming the bank.
+    of every row goes into ``means``. A resample only copies the chosen
+    particles and sets ``resampled[b]``, which the bank's next move receives
+    and clears; the caller roughens the copies. The calling thread weighs the
+    last bank (benchmark 1's reference, the heaviest) first and every thread
+    takes the others from one queue. Worker 0 is the calling thread and
+    worker w owns ``noise[w]`` and the (d, P) ``moved[w]``, so that a tick
+    allocates no bank-sized temporaries. A bank's stream draws its move noise
+    before its resample offset, so the results do not depend on which thread
+    took which bank; numpy releases the GIL in the bank-sized calls. Weights
+    with no finite mass (a NaN or +inf increment, or every particle at -inf)
+    raise ``DbfError`` naming the bank.
     """
 
-    def __init__(self, particles, log_w, means, positions, rngs, scratch, pool) -> None:
+    def __init__(self, particles, log_w, means, positions, rngs, pool=None, workers: int = 1) -> None:
         self.particles, self.log_w, self.means = particles, log_w, means
-        self.positions, self.rngs = positions, rngs
-        self.scratch, self.pool = scratch, pool
+        self.positions, self.rngs, self.pool = positions, rngs, pool
+        self.noise = np.empty((workers,) + particles[:, positions].shape[1:])
+        self.moved = np.empty((workers,) + particles.shape[1:])
         self.resampled = [False] * len(particles)
 
     def move(self, motions: list) -> None:
@@ -438,7 +467,7 @@ class _BankScheduler:
         self._queue = SimpleQueue()
         for b in banks:
             self._queue.put(b)
-        workers = range(1, len(self.scratch)) if self.pool is not None else ()
+        workers = range(1, len(self.moved)) if self.pool is not None else ()
         self._jobs = [self.pool.submit(self._take, self._queue, work, w) for w in workers]
 
     def _finish(self, work: Callable[[int, int], None], first: int | None = None) -> None:
@@ -462,9 +491,9 @@ class _BankScheduler:
             work(b, worker)
 
     def _move(self, b: int, worker: int) -> None:
-        noise, moved = self.scratch[worker]
+        noise = self.noise[worker]
         self.rngs[b].standard_normal(out=noise)
-        self._motions[b](self.particles[b], noise, moved, self.resampled[b])
+        self._motions[b](self.particles[b], noise, self.moved[worker], self.resampled[b])
         self.resampled[b] = False
 
     def _weigh(self, b: int, worker: int) -> None:
@@ -479,7 +508,7 @@ class _BankScheduler:
         w /= mass
         log_w -= np.log(mass)
         if 1.0 / (w @ w) < 0.5 * count:
-            moved = self.scratch[worker, 1]
+            moved = self.moved[worker]
             np.take(bank, systematic_indices(w, count, rng), axis=1, out=moved)
             np.copyto(bank, moved)
             self.resampled[b] = True
@@ -494,9 +523,8 @@ def _bank_workers(particles, log_w, means, positions, rngs) -> Iterator[_BankSch
     none when the process may use one CPU; the thread ends with the block."""
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(2, usable)
-    scratch = np.empty((workers, 2) + particles.shape[1:])
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        yield _BankScheduler(particles, log_w, means, positions, rngs, scratch, pool)
+        yield _BankScheduler(particles, log_w, means, positions, rngs, pool, workers)
 
 
 def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
@@ -519,19 +547,19 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     a = layout.adjacency.values
 
     f, q = target_dynamics_cv(cfg.dt)
-    # a resampled bank is roughened by its next move: x[idx] + R w2 pushed
-    # through F plus chol(Q) w3 has the law of F x[idx] + chol(Q + F R^2 F^T) w
-    rough_pos = 0.25 * float(grid.widths.min())
-    rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
-    chol_r = np.linalg.cholesky(q + (f * rough**2) @ f.T)
-    motions = [partial(_linear_motion, f, np.linalg.cholesky(q), chol_r)] * (n + 1)
-
     # bank n is the centralized reference, weighted by every measurement
     rngs = [named_stream(cfg.seed, "pf", i) for i in range(n)]
     rngs.append(named_stream(cfg.seed, "pf-central"))
     x0 = truth_m[0]
-    # banks are component major, (bank, state, particle); states are (x, vx, y, vy)
-    particles = np.stack([_init_particles(cfg, x0, rng).T for rng in rngs])
+    # banks are component major, (bank, row, particle), with rows (x, m_x, y,
+    # m_y): positions drawn from the prior, velocity means at x0's velocity;
+    # each bank's motion keeps its velocity variance, prior_vel_sigma^2 at first
+    particles = np.empty((n + 1, 4, cfg.particles))
+    particles[:, 1::2] = x0[1::2, None]
+    for bank, rng in zip(particles, rngs):
+        bank[::2] = x0[::2, None] + cfg.prior_pos_sigma * rng.standard_normal((2, cfg.particles))
+    rough_pos = 0.25 * float(grid.widths.min())
+    motions = [_MarginalMotion(cfg.dt, q[:2, :2], rough_pos, 0.1, cfg.prior_vel_sigma**2) for _ in range(n + 1)]
     positions = slice(None, None, 2)
     log_w = np.zeros((n + 1, cfg.particles))
     means = particles.mean(axis=2)

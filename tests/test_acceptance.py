@@ -376,10 +376,10 @@ def test_criterion_10_benchmark_tracking_accuracy():
     Each agent's fused likelihood converges to an error ball around the
     joint likelihood of the centralized multi-sensor filter, so the gate
     measures the distributed error against that filter on the same truth,
-    noise and seeds. The centralized reference scores 1.77, 3.66, 12.69,
-    35.87 and 50.76 on seeds 1-5 at dt = 0.05 (median 12.69). With 100,000
-    particles seeds 3-5 still give 13.15, 36.18 and 50.85, and with
-    noise_tau = 0 all five fall to 0.5-2.9: the floor is set by the
+    noise and seeds. The centralized reference scores 1.73, 3.70, 13.04,
+    35.82 and 50.61 on seeds 1-5 at dt = 0.05 (median 13.04). With 100,000
+    particles seeds 3-5 still give 15.10, 36.11 and 50.95, and with
+    noise_tau = 0 all five fall to 0.55-3.04: the floor is set by the
     scenario's coloured measurement noise, not by particle count, so an
     absolute bound near 5 asks the distributed filter to beat the filter
     it converges to. The library's admissible-interval bound is about 1e-7 s

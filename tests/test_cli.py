@@ -240,6 +240,26 @@ def test_run_rejects_a_float_field_that_is_not_a_finite_real(tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, override, field",
+    [
+        ("benchmark1", "prior_pos_sigma=-20", "prior_pos_sigma"),
+        ("benchmark1", "prior_vel_sigma=-3", "prior_vel_sigma"),
+        ("benchmark1", "comm_radius=-5", "comm_radius"),
+        ("benchmark2", "prior_vel_sigma=-1e-9", "prior_vel_sigma"),
+    ],
+)
+def test_run_rejects_a_negative_prior_spread_or_radius(tmp_path, capsys, scenario, override, field):
+    # a squared spread would drop the sign silently
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", scenario, "--dt", "0.5", "--set", "duration=2", "--set", override,
+                   "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{field} must be nonnegative" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- bounds
 
 

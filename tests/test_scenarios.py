@@ -27,9 +27,9 @@ from dbfnet.scenarios import (
     FormationConfig,
     MultiloopConfig,
     _BankScheduler,
+    _MarginalMotion,
     _drift_motion,
     _joint_log_likelihood,
-    _linear_motion,
     _observed_kappa,
     _scenario1_measurements,
     apf_term,
@@ -154,6 +154,10 @@ def test_benchmark_config_validation():
         tiny_benchmark(delta_target=1.5, eta=0.5)
     with pytest.raises(ConfigInvalid):
         tiny_benchmark(eta=1.0)
+    for name in ("noise_tau", "comm_radius", "prior_pos_sigma", "prior_vel_sigma"):
+        with pytest.raises(ConfigInvalid, match=f"{name} must be nonnegative"):
+            tiny_benchmark(**{name: -0.5})
+        assert getattr(tiny_benchmark(**{name: 0.0}), name) == 0.0
     cfg = tiny_benchmark()
     assert cfg.steps == 10
     assert cfg.stride == 10
@@ -224,23 +228,39 @@ def test_scenario1_smoke_metrics():
     assert s["observed_kappa"] is None or s["observed_kappa"] >= 1
 
 
-_CV_ROUGH = np.array([0.5, 0.1, 0.5, 0.1])
+_CV_DT, _CV_ROUGH, _CV_VAR_V = 0.1, (0.5, 0.1), 9.0
 
 
 def _cv_motion():
-    """Benchmark 1's kind of motion at dt 0.1, with the roughening ``_CV_ROUGH`` folded into ``chol_r``."""
-    f, q = target_dynamics_cv(0.1)
-    chol_r = np.linalg.cholesky(q + f @ np.diag(_CV_ROUGH**2) @ f.T)
-    return partial(_linear_motion, f, np.linalg.cholesky(q), chol_r)
+    """Benchmark 1's kind of motion at dt 0.1: roughening ``_CV_ROUGH`` (position,
+    velocity) after a resample, velocity variance ``_CV_VAR_V`` at first."""
+    _, q = target_dynamics_cv(_CV_DT)
+    return _MarginalMotion(_CV_DT, q[:2, :2], *_CV_ROUGH, _CV_VAR_V)
+
+
+def _conditioned_move(bank, w, s, rough=(0.0, 0.0)):
+    """The marginal move of a (4, P) bank of rows (x, m_x, y, m_y), written out
+    as Gaussian conditioning: per axis, (p', v') given a particle (p, m) is
+    N(F1 (p, m), F1 diag(r_p^2, s + r_v^2) F1^T + Q1); p' is drawn from its
+    marginal with the (2, P) noise ``w`` and v' conditioned on it. Returns
+    the moved bank, the gain and the new velocity variance."""
+    _, q = target_dynamics_cv(_CV_DT)
+    f1 = np.array([[1.0, _CV_DT], [0.0, 1.0]])
+    cov = f1 @ np.diag([rough[0] ** 2, s + rough[1] ** 2]) @ f1.T + q[:2, :2]
+    gain = cov[1, 0] / cov[0, 0]
+    out = np.empty_like(bank)
+    for axis, noise in zip((0, 2), w):
+        mean = f1 @ bank[axis : axis + 2]
+        out[axis] = mean[0] + math.sqrt(cov[0, 0]) * noise
+        out[axis + 1] = mean[1] + gain * (out[axis] - mean[0])
+    return out, gain, cov[1, 1] - gain * cov[1, 0]
 
 
 def _cv_bank(count=200, seed=5):
-    """A (4, P) constant-velocity bank with its motion, position rows and its
-    move written out for given noise."""
+    """A (4, P) bank of rows (x, m_x, y, m_y) with its marginal motion, its
+    position rows and its move written out for given (2, P) noise."""
     bank = np.random.default_rng(seed).standard_normal((4, count))
-    motion = _cv_motion()
-    f, chol, _ = motion.args
-    return bank, motion, slice(None, None, 2), lambda w: f @ bank + chol @ w
+    return bank, _cv_motion(), slice(None, None, 2), lambda w: _conditioned_move(bank, w, _CV_VAR_V)[0]
 
 
 def _drift_bank(count=200, seed=5):
@@ -255,8 +275,7 @@ def _drift_bank(count=200, seed=5):
 def _scheduler(particles, log_w, positions, rngs, pool=None, workers=1):
     """A scheduler over a (B, d, P) stack; its means start as NaN."""
     means = np.full(particles.shape[:2], np.nan)
-    scratch = np.empty((workers, 2) + particles.shape[1:])
-    return _BankScheduler(particles, log_w, means, positions, rngs, scratch, pool)
+    return _BankScheduler(particles, log_w, means, positions, rngs, pool, workers)
 
 
 def _step_one(make_bank, likelihood, rng, count=200):
@@ -272,18 +291,19 @@ def _step_one(make_bank, likelihood, rng, count=200):
 
 @pytest.mark.parametrize("make_bank", [_cv_bank, _drift_bank], ids=["cv", "drift"])
 def test_bank_step_flat_increment_keeps_uniform_weights(make_bank):
-    before, _, _, move = make_bank()
-    expected = move(np.random.default_rng(9).standard_normal(before.shape))
+    before, _, positions, move = make_bank()
+    expected = move(np.random.default_rng(9).standard_normal(before[positions].shape))
     rng = np.random.default_rng(9)
     bank, log_w, mean, banks = _step_one(make_bank, _flat, rng)
     # normalized in place, not reset: a resample would leave 0
     np.testing.assert_allclose(log_w, -np.log(bank.shape[1]), rtol=1e-12)
-    # no resample: the bank is the propagated one and the stream drew only the noise
+    # no resample: the bank is the propagated one and the stream drew only the
+    # noise of its position rows
     np.testing.assert_allclose(bank, expected, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(mean, bank.mean(axis=1), rtol=1e-12, atol=1e-12)
     assert banks.resampled == [False]
     rest = np.random.default_rng(9)
-    rest.standard_normal(bank.shape)
+    rest.standard_normal(bank[positions].shape)
     assert rng.uniform() == rest.uniform()
 
 
@@ -301,63 +321,159 @@ def _collapse(points):
 def test_bank_step_collapse_resamples_in_place():
     # the resample only copies and flags the bank, for either motion: the caller roughens it
     for make_bank in (_cv_bank, _drift_bank):
-        before, _, _, move = make_bank()
-        propagated = move(np.random.default_rng(2).standard_normal(before.shape))
+        before, _, positions, move = make_bank()
+        propagated = move(np.random.default_rng(2).standard_normal(before[positions].shape))
         rng = np.random.default_rng(2)
         bank, log_w, mean, banks = _step_one(make_bank, _collapse, rng)
         count = bank.shape[1]
         np.testing.assert_array_equal(log_w, 0.0)
         # every particle is an exact copy of the one that carried the weight
-        np.testing.assert_array_equal(bank, np.broadcast_to(propagated[:, 7:8], bank.shape))
+        np.testing.assert_allclose(bank, np.broadcast_to(propagated[:, 7:8], bank.shape), rtol=1e-12, atol=1e-12)
+        assert (bank == bank[:, :1]).all()
         # the mean weighs every particle alike
         np.testing.assert_array_equal(mean, bank @ np.full(count, 1.0 / count))
         assert banks.resampled == [True]
-        # the stream drew the move noise and the resample offset, and no jitter
+        # the stream drew rows(bank[positions]) x P normals for the move, then
+        # the resample offset, and no jitter
         rest = np.random.default_rng(2)
-        rest.standard_normal(bank.shape)
+        rest.standard_normal(bank[positions].shape)
         rest.uniform()
         assert rng.uniform() == rest.uniform()
 
 
-def test_bank_step_after_collapse_moves_with_the_folded_factor():
+@pytest.mark.parametrize("resampled", [False, True])
+def test_marginal_move_is_the_conditioned_gaussian(resampled):
+    # one move: p' drawn from its predictive law, v' conditioned on it; after
+    # a resample, with the velocity variance inflated by r_v^2 and r_p^2 added
+    # to p's variance
+    bank, motion, _, _ = _cv_bank(count=500)
+    before, w = bank.copy(), np.random.default_rng(3).standard_normal((2, 500))
+    want, gain, var_v = _conditioned_move(before, w, _CV_VAR_V, _CV_ROUGH if resampled else (0.0, 0.0))
+    motion(bank, w.copy(), np.empty_like(bank), resampled)
+    np.testing.assert_allclose(bank, want, rtol=1e-12, atol=1e-12)
+    assert motion.var_v == pytest.approx(var_v, rel=1e-12)
+    # the velocity means moved by the gain times the position innovation
+    innovation = bank[::2] - before[::2] - _CV_DT * before[1::2]
+    np.testing.assert_allclose(bank[1::2] - before[1::2], gain * innovation, rtol=1e-9, atol=1e-12)
+    # the same at a variance as small as the steady one and at none, which
+    # stays positive
+    for s in (0.0, 1e-6):
+        motion.var_v = s
+        got, w2 = before.copy(), w.copy()
+        motion(got, w2, np.empty_like(bank), resampled)
+        want, _, var_v = _conditioned_move(before, w, s, _CV_ROUGH if resampled else (0.0, 0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert motion.var_v == pytest.approx(var_v, rel=1e-12) and motion.var_v > 0.0
+
+
+def _full_state_move(bank, chol, rng, rough=None):
+    """Benchmark 1's earlier full-state move of a (4, P) bank (x, vx, y, vy):
+    jitter by ``rough`` after a resample, then F x + chol(Q) w."""
+    if rough is not None:
+        bank = bank + rough[:, None] * rng.standard_normal(bank.shape)
+    f, _ = target_dynamics_cv(_CV_DT)
+    return f @ bank + chol @ rng.standard_normal(bank.shape)
+
+
+def test_marginal_moves_match_the_full_state_moments():
+    # the marginal bank's positions have the law of the full-state bank's
+    # whose velocities are drawn from N(m, s): over 200,000 particles and five
+    # flat-weight moves, the first after a resample, both position means and
+    # covariances agree within five standard errors of their difference
+    count, moves = 200_000, 5
+    start = np.random.default_rng(21).standard_normal((4, count)) * np.array([[3.0], [1.0], [2.0], [0.5]])
+    marginal, motion = start.copy(), _cv_motion()
+    banks = _scheduler(marginal[None], np.zeros((1, count)), slice(None, None, 2), [np.random.default_rng(22)])
+    banks.resampled[0] = True
+    for _ in range(moves):
+        banks.move([motion])
+        banks.weigh([_flat])
+    assert banks.resampled == [False]
+
+    rng = np.random.default_rng(23)
+    full = start.copy()
+    full[1::2] += math.sqrt(_CV_VAR_V) * rng.standard_normal((2, count))
+    _, q = target_dynamics_cv(_CV_DT)
+    chol = np.linalg.cholesky(q)
+    rough = np.array([_CV_ROUGH[0], _CV_ROUGH[1], _CV_ROUGH[0], _CV_ROUGH[1]])
+    for k in range(moves):
+        full = _full_state_move(full, chol, rng, rough if k == 0 else None)
+
+    got, want = marginal[::2], full[::2]
+    cov = np.cov(want)
+    # the two samples are independent: a mean differs by sqrt(2 var / N), a
+    # Gaussian covariance entry by sqrt(2 (c_ii c_jj + c_ij^2) / N)
+    se_mean = np.sqrt(2.0 * np.diag(cov) / count)
+    se_cov = np.sqrt(2.0 * (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / count)
+    assert (np.abs(got.mean(axis=1) - want.mean(axis=1)) < 5.0 * se_mean).all()
+    assert (np.abs(np.cov(got) - cov) < 5.0 * se_cov).all()
+    # the velocity: the full bank's spread is the spread of the means plus s
+    var_full = full[1::2].var(axis=1)
+    var_marginal = marginal[1::2].var(axis=1) + motion.var_v
+    assert (np.abs(var_marginal - var_full) < 5.0 * np.sqrt(2.0 * 2.0 * var_full**2 / count)).all()
+
+
+def test_bank_step_after_collapse_moves_with_the_roughening():
     rng = np.random.default_rng(2)
     bank, motion, positions, _ = _cv_bank()
-    f, chol, chol_r = motion.args
     banks = _scheduler(bank[None], np.zeros((1, bank.shape[1])), positions, [rng])
     banks.move([motion])
     banks.weigh([_collapse])
+    var_v = _conditioned_move(bank, np.zeros((2, bank.shape[1])), _CV_VAR_V)[2]
+    assert motion.var_v == pytest.approx(var_v, rel=1e-12)
     rest = np.random.default_rng(2)
-    rest.standard_normal(bank.shape)
+    rest.standard_normal(bank[positions].shape)
     rest.uniform()
-    # the move after the resample draws one fill that carries the roughening
-    for factor in (chol_r, chol):
-        copied, noise = bank.copy(), rest.standard_normal(bank.shape)
+    # the move after the resample adds r_p^2 once and inflates s by r_v^2;
+    # the one after it moves with the process noise alone
+    for rough in (_CV_ROUGH, (0.0, 0.0)):
+        copied, noise = bank.copy(), rest.standard_normal(bank[positions].shape)
+        want, _, var_v = _conditioned_move(copied, noise, motion.var_v, rough)
         banks.move([motion])
         banks.weigh([_flat])
-        np.testing.assert_allclose(bank, f @ copied + factor @ noise, rtol=1e-12, atol=1e-12)
-    # one move spends the flag: the second used chol again
+        np.testing.assert_allclose(bank, want, rtol=1e-12, atol=1e-12)
+        assert motion.var_v == pytest.approx(var_v, rel=1e-12)
+    # one move spends the flag
     assert banks.resampled == [False]
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.5])
-def test_scenario1_folded_factor_is_process_noise_plus_roughening(dt, monkeypatch):
-    built = []
+def test_scenario1_motion_is_process_noise_plus_roughening(dt, monkeypatch):
+    built, initial = [], []
 
-    def record(f, chol, chol_r, *args):
-        built.append((f, chol, chol_r))
-        return _linear_motion(f, chol, chol_r, *args)
+    def record(*args):
+        built.append((args, _MarginalMotion(*args)))
+        return built[-1][1]
 
-    monkeypatch.setattr(scenarios, "_linear_motion", record)
+    bank_workers = scenarios._bank_workers
+
+    @contextmanager
+    def first_banks(particles, *args):
+        initial.append(particles.copy())
+        with bank_workers(particles, *args) as banks:
+            yield banks
+
+    monkeypatch.setattr(scenarios, "_MarginalMotion", record)
+    monkeypatch.setattr(scenarios, "_bank_workers", first_banks)
     cfg = tiny_benchmark(dt=dt)
     run_benchmark_scenario1(cfg)
-    f, chol, chol_r = built[0]
-    want_f, q = target_dynamics_cv(dt)
+    # one motion per bank, each with its own velocity variance, at first
+    # prior_vel_sigma^2
+    assert len(built) == cfg.n_agents + 1 == len({id(m) for _, m in built})
+    _, q = target_dynamics_cv(dt)
     rough_pos = 0.25 * float(cfg.position_grid().widths.min())
-    rough = np.array([rough_pos, 0.1, rough_pos, 0.1])
-    want = q + want_f @ np.diag(rough**2) @ want_f.T
-    np.testing.assert_array_equal(f, want_f)
-    np.testing.assert_allclose(chol @ chol.T, q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
-    np.testing.assert_allclose(chol_r @ chol_r.T, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for args, m in built:
+        assert args[4] == cfg.prior_vel_sigma**2
+        assert m.dt == dt and (m.q11, m.q12, m.q22) == (q[0, 0], q[0, 1], q[1, 1])
+        assert (m.rough_pos2, m.rough_vel2) == (rough_pos**2, 0.1**2)
+    # the prior draws positions only, from each bank's stream; the velocity
+    # means start at x0's velocity
+    x0 = master_trajectory(cfg)[0][0]
+    rngs = [named_stream(cfg.seed, "pf", i) for i in range(cfg.n_agents)] + [named_stream(cfg.seed, "pf-central")]
+    for bank, rng in zip(initial[0], rngs):
+        want = x0[::2, None] + cfg.prior_pos_sigma * rng.standard_normal((2, cfg.particles))
+        np.testing.assert_array_equal(bank[::2], want)
+        np.testing.assert_array_equal(bank[1::2], np.broadcast_to(x0[1::2, None], (2, cfg.particles)))
 
 
 _NON_FINITE = [(np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, True)]
@@ -386,8 +502,9 @@ def test_bank_step_non_finite_weights_raise(value, everywhere, make_bank):
 
 def _oracle_bank_step(bank, log_w, log_likelihood, motion, positions, rng, scratch, index, resampled):
     """One bank moved and weighed in a single call, bank after bank: the
-    reference for the scheduler's bits. ``resampled[index]`` is the bank's
-    flag for a resample whose roughening its next move carries."""
+    reference for the scheduler's bits. ``scratch`` is the noise buffer of
+    the position rows and a bank-sized spare; ``resampled[index]`` is the
+    bank's flag for a resample whose roughening its next move carries."""
     count = bank.shape[1]
     noise, moved = scratch
     motion(bank, rng.standard_normal(out=noise), moved, resampled[index])
@@ -420,11 +537,11 @@ _BANKS, _COUNT = 12, 2000
 
 
 def _bank_stack():
-    """12 banks and their inputs; banks 1, 2, 5, 6, 9 and 10 resample, the
-    others do not. Their next move roughens them."""
+    """12 banks and their inputs, each with its own motion; banks 1, 2, 5, 6,
+    9 and 10 resample, the others do not. Their next move roughens them."""
     particles = np.random.default_rng(13).standard_normal((_BANKS, 4, _COUNT))
     log_w = np.random.default_rng(14).uniform(-0.1, 0.0, (_BANKS, _COUNT))
-    motions = [_cv_motion()] * _BANKS
+    motions = [_cv_motion() for _ in range(_BANKS)]
     rngs = [np.random.default_rng(100 + b) for b in range(_BANKS)]
     likelihoods = [_collapse if b % 4 in (1, 2) else _flat for b in range(_BANKS)]
     return particles, log_w, motions, rngs, likelihoods
@@ -454,15 +571,16 @@ def test_step_banks_pool_is_bit_equal_to_serial(workers):
                 banks.weigh(likelihoods)
     finally:
         sys.setswitchinterval(interval)
-    want, want_log_w, motions, rngs, _ = _bank_stack()
+    want, want_log_w, want_motions, rngs, _ = _bank_stack()
     want_means = np.empty((_BANKS, 4))
-    scratch = np.empty((2, 4, _COUNT))
+    scratch = np.empty((2, _COUNT)), np.empty((4, _COUNT))
     resampled = [False] * _BANKS
     for likelihoods in ticks:
         _oracle_step_banks(
-            want, want_log_w, want_means, likelihoods, motions, slice(None, None, 2), rngs, scratch, resampled
+            want, want_log_w, want_means, likelihoods, want_motions, slice(None, None, 2), rngs, scratch, resampled
         )
     np.testing.assert_array_equal(particles, want)
+    assert [m.var_v for m in motions] == [m.var_v for m in want_motions]
     np.testing.assert_array_equal(log_w, want_log_w)
     np.testing.assert_array_equal(banks.means, want_means)
     assert [bool((row == 0.0).all()) for row in log_w] == [(b + 3) % 4 in (1, 2) for b in range(_BANKS)]
@@ -551,15 +669,15 @@ def test_step_banks_field_error_leaves_no_moves_running(monkeypatch):
     particles, log_w, motions, rngs, _ = _bank_stack()
     moves = []
 
-    def slow(*args):
+    def slow(motion, *args):
         time.sleep(0.005)
         moves.append(threading.get_ident())
-        return motions[0](*args)
+        return motion(*args)
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="fields failed"):
         with scenarios._bank_workers(particles, log_w, np.empty((_BANKS, 4)), slice(None, None, 2), rngs) as banks:
-            banks.move([slow] * _BANKS)
+            banks.move([partial(slow, m) for m in motions])
             raise RuntimeError("fields failed")
     assert threading.active_count() == before
     # the pool thread finished the moves it had queued before the block ended
