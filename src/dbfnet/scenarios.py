@@ -445,7 +445,7 @@ class _BankScheduler:
     raise ``DbfError`` naming the bank.
     """
 
-    def __init__(self, particles, log_w, means, positions, rngs, pool=None, workers: int = 1) -> None:
+    def __init__(self, particles, log_w, means, positions, rngs, pool, workers) -> None:
         self.particles, self.log_w, self.means = particles, log_w, means
         self.positions, self.rngs, self.pool = positions, rngs, pool
         self.noise = np.empty((workers,) + particles[:, positions].shape[1:])

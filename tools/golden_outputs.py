@@ -43,8 +43,10 @@ RUNS = {
 KEEP = ("metrics.csv", "summary.json")
 
 
-def _env() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def one_thread_env(checkout: Path) -> dict:
+    """This process's environment importing ``dbfnet`` from ``checkout``'s
+    ``src``, with BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return env
@@ -53,7 +55,7 @@ def _env() -> dict:
 def _run(cmd: list, scratch: Path, keep: tuple, dest: Path) -> None:
     """Run ``cmd`` writing into ``scratch``, then move the files in ``keep`` to ``dest``."""
     shutil.rmtree(scratch, ignore_errors=True)
-    subprocess.run([sys.executable, *cmd, "--outdir", str(scratch)], cwd=ROOT, env=_env(),
+    subprocess.run([sys.executable, *cmd, "--outdir", str(scratch)], cwd=ROOT, env=one_thread_env(ROOT),
                    stdout=subprocess.DEVNULL, check=True)
     dest.mkdir(parents=True)
     for name in keep:
