@@ -7,7 +7,7 @@ from .density import (
     l1_distance,
     tv_distance,
 )
-from .pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, logop
+from .pools import bayes_update, joint_likelihood, kl_pool, logop
 from .topology import (
     AdjacencyMatrix,
     AdjacencySchedule,

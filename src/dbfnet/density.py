@@ -4,7 +4,9 @@ All density arithmetic happens in the log domain. A density is stored as log
 values on the cell centers of a :class:`StateGrid`; sums of cell values times
 the cell volume stand in for integrals (midpoint rule). Construction always
 normalizes, then clamps every cell to a tiny positivity floor so that log
-ratios stay finite everywhere.
+ratios stay finite everywhere. Stacks of fields, one row per agent, run
+through one kernel: :func:`normalize_rows`, the fusion step
+:func:`consensus_update` and the power step :func:`power_rows`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -277,6 +280,57 @@ def l1_rows(log_p: np.ndarray, log_q: np.ndarray, cell_volume: float) -> np.ndar
             raise DbfError(f"L1 distance {top!r} exceeds 2 by more than rounding ({allowance:.2g})")
         np.minimum(l1, 2.0, out=l1)
     return l1
+
+
+def consensus_update(
+    log_u_prev: np.ndarray,
+    log_l: np.ndarray,
+    log_l_prev: np.ndarray | None,
+    a: np.ndarray,
+    cell_volume: float,
+    channel: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """The one fusion step of the recursion, for all agents at once.
+
+    Stacks are (n, ..., cells), one leading row per agent, and row i becomes
+    ``normalize(sum_j a[i, j] U~^{ij} + log_l[i] - log_l_prev[i])``. The mix
+    runs as one ``a @ U`` on the (n, -1) view, in column blocks small enough
+    that BLAS runs each on the calling thread. ``channel`` maps the (m, cells)
+    copies of ``log_u_prev`` rows sent over the edges j -> i, i != j and
+    a[i, j] > 0 in row-major order, to the copies received; without it every
+    copy arrives exact. Pass ``log_l_prev=None`` for tick 1 or a restart.
+    """
+    if log_l_prev is None:
+        raw = log_l.copy()
+    else:
+        raw = np.empty(log_l.shape)
+        flat = raw.reshape(len(raw), -1)
+        flat_u = log_u_prev.reshape(len(log_u_prev), -1)
+        # n*n*width stays under 262,144, OpenBLAS's gemm threading threshold;
+        # power-of-two widths keep a @ U's bits
+        width = 64
+        while len(a) * len(a) * width * 2 < 262_144:
+            width *= 2
+        for c in range(0, flat.shape[1], width):
+            block = slice(c, c + width)
+            np.matmul(a, flat_u[:, block], out=flat[:, block])
+        increment = log_l
+        if channel is not None:
+            # each received copy changes its receiver's row of a @ U
+            rows, cols = np.nonzero(a * ~np.eye(len(a), dtype=bool))
+            sent = log_u_prev[cols]
+            change = channel(sent) - sent
+            change *= a[rows, cols][:, None]
+            correction = np.zeros_like(log_u_prev)
+            np.add.at(correction, rows, change)
+            increment = log_l + correction
+        raw += increment - log_l_prev
+    return normalize_rows(raw, cell_volume)
+
+
+def power_rows(log_u: np.ndarray, n_agents: int, cell_volume: float) -> np.ndarray:
+    """Stacked power estimate fields from stacked fusion fields of any leading shape."""
+    return normalize_rows(n_agents * log_u, cell_volume)
 
 
 def l1_distance(p: DensityGrid, q: DensityGrid) -> float:

@@ -26,9 +26,10 @@ from .density import (
     DensityGrid,
     StateGrid,
     _check_same_grid,
+    consensus_update,
     floor_and_normalize_rows,
     l1_rows,
-    normalize_rows,
+    power_rows,
 )
 from .errors import GridMismatch, KernelInvalid
 from .pools import bayes_update as update, joint_likelihood
@@ -329,57 +330,6 @@ def multiloop_fuse(
     fusion = list(likelihoods) if n_loop == 1 else DensityGrid.rows(grid, log_u)
     estimates = DensityGrid.rows(grid, log_t)
     return MultiloopResult(fusion=fusion, estimates=estimates, error_norms=np.asarray(norms))
-
-
-def consensus_update(
-    log_u_prev: np.ndarray,
-    log_l: np.ndarray,
-    log_l_prev: np.ndarray | None,
-    a: np.ndarray,
-    cell_volume: float,
-    channel: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """The one fusion step of the recursion, for all agents at once.
-
-    Stacks are (n, ..., cells), one leading row per agent, and row i becomes
-    ``normalize(sum_j a[i, j] U~^{ij} + log_l[i] - log_l_prev[i])``. The mix
-    runs as one ``a @ U`` on the (n, -1) view, in column blocks small enough
-    that BLAS runs each on the calling thread. ``channel`` maps the (m, cells)
-    copies of ``log_u_prev`` rows sent over the edges j -> i, i != j and
-    a[i, j] > 0 in row-major order, to the copies received; without it every
-    copy arrives exact. Pass ``log_l_prev=None`` for tick 1 or a restart.
-    """
-    if log_l_prev is None:
-        raw = log_l.copy()
-    else:
-        raw = np.empty(log_l.shape)
-        flat = raw.reshape(len(raw), -1)
-        flat_u = log_u_prev.reshape(len(log_u_prev), -1)
-        # n*n*width stays under 262,144, OpenBLAS's gemm threading threshold;
-        # power-of-two widths keep a @ U's bits
-        width = 64
-        while len(a) * len(a) * width * 2 < 262_144:
-            width *= 2
-        for c in range(0, flat.shape[1], width):
-            block = slice(c, c + width)
-            np.matmul(a, flat_u[:, block], out=flat[:, block])
-        increment = log_l
-        if channel is not None:
-            # each received copy changes its receiver's row of a @ U
-            rows, cols = np.nonzero(a * ~np.eye(len(a), dtype=bool))
-            sent = log_u_prev[cols]
-            change = channel(sent) - sent
-            change *= a[rows, cols][:, None]
-            correction = np.zeros_like(log_u_prev)
-            np.add.at(correction, rows, change)
-            increment = log_l + correction
-        raw += increment - log_l_prev
-    return normalize_rows(raw, cell_volume)
-
-
-def power_rows(log_u: np.ndarray, n_agents: int, cell_volume: float) -> np.ndarray:
-    """Stacked power estimate fields from stacked fusion fields of any leading shape."""
-    return normalize_rows(n_agents * log_u, cell_volume)
 
 
 def move_fusion_state(

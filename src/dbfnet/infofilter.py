@@ -108,9 +108,9 @@ class InfoState:
     """One agent's information-filter state, or a stack of agents' states.
 
     ``z``/``Z`` are the information vector and matrix (prior after predict,
-    posterior after update); ``u``/``U`` the consensus pair; ``t``/``T`` the
-    scaled consensus used in the update; ``i_prev``/``I_prev`` the last
-    measurement information, which the dynamic consensus differences against.
+    posterior after update); ``u``/``U`` the consensus pair;
+    ``i_prev``/``I_prev`` the last measurement information, which the dynamic
+    consensus differences against.
     Every pair present has the vectors' shape (d,) or (n, d) and the matching
     (d, d) or (n, d, d) matrices.
     """
@@ -119,14 +119,12 @@ class InfoState:
     Z: np.ndarray
     u: np.ndarray | None = None
     U: np.ndarray | None = None
-    t: np.ndarray | None = None
-    T: np.ndarray | None = None
     i_prev: np.ndarray | None = None
     I_prev: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         shape = np.shape(self.z)
-        for v, mat in ((self.z, self.Z), (self.u, self.U), (self.t, self.T), (self.i_prev, self.I_prev)):
+        for v, mat in ((self.z, self.Z), (self.u, self.U), (self.i_prev, self.I_prev)):
             if (v is None) != (mat is None) or v is not None and not (
                 shape and np.shape(v) == shape and np.shape(mat) == shape + shape[-1:]
             ):
@@ -167,7 +165,7 @@ def info_measurement(y: np.ndarray | None, m: LinearModel, agent: int | np.ndarr
 
 
 def info_fuse(
-    s: InfoState, i_new: np.ndarray, big_i_new: np.ndarray, received: Sequence | np.ndarray, k: int, n_agents: int
+    s: InfoState, i_new: np.ndarray, big_i_new: np.ndarray, received: Sequence | np.ndarray, k: int
 ) -> InfoState:
     """Dynamic average consensus on measurement information.
 
@@ -175,7 +173,7 @@ def info_fuse(
     the agent's own pair. For a stack it is the (n, n) weight matrix A, an
     array or an AdjacencyMatrix, which mixes the stack's own consensus pairs
     of the last tick. At k = 1 the consensus pair is the measurement pair
-    itself. The scaled pair multiplies by the agent count.
+    itself.
     """
     if k < 1:
         raise ValueError("tick index is 1 based")
@@ -193,7 +191,7 @@ def info_fuse(
         # associate so that the single-agent case telescopes exactly
         u = i_new + (mix_u - s.i_prev)
         big_u = big_i_new + (mix_big - s.I_prev)
-    return replace(s, u=u, U=big_u, t=n_agents * u, T=n_agents * big_u, i_prev=i_new, I_prev=big_i_new)
+    return replace(s, u=u, U=big_u, i_prev=i_new, I_prev=big_i_new)
 
 
 def _posterior(z: np.ndarray, z_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,12 +201,13 @@ def _posterior(z: np.ndarray, z_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _mv(p, z), p, z_mat
 
 
-def info_update(s: InfoState) -> tuple[np.ndarray, np.ndarray, InfoState]:
-    """Add the scaled consensus pair; returns (estimate, covariance, posterior state)."""
-    if s.t is None or s.T is None:
+def info_update(s: InfoState, n_agents: int) -> tuple[np.ndarray, np.ndarray, InfoState]:
+    """Add the consensus pair scaled by the agent count; returns (estimate,
+    covariance, posterior state)."""
+    if s.u is None:
         raise ValueError("fuse before updating")
-    z_post = s.z + s.t
-    x_hat, p, z_mat_post = _posterior(z_post, s.Z + s.T)
+    z_post = s.z + n_agents * s.u
+    x_hat, p, z_mat_post = _posterior(z_post, s.Z + n_agents * s.U)
     return x_hat, p, replace(s, z=z_post, Z=z_mat_post)
 
 

@@ -9,54 +9,35 @@ conditional independence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .density import DensityGrid, _check_same_grid
+from .density import DensityGrid, _check_same_grid, consensus_update
 from .errors import WeightMismatch
-
-_WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PoolWeights:
-    """Nonnegative weights summing to one."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
-        if len(w) == 0:
-            raise ValueError("need at least one weight")
-        if any(x < 0 or not np.isfinite(x) for x in w):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(sum(w) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, n: int) -> "PoolWeights":
-        return cls(tuple(1.0 / n for _ in range(n)))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights)
+from .topology import _weight_rows
 
 
-def _stack(pdfs: Sequence[DensityGrid], w: PoolWeights | None = None) -> np.ndarray:
+def _stack(pdfs: Sequence[DensityGrid]) -> np.ndarray:
     if len(pdfs) == 0:
         raise ValueError("need at least one density")
-    if w is not None and len(w.weights) != len(pdfs):
-        raise WeightMismatch(f"{len(w.weights)} weights for {len(pdfs)} densities")
     _check_same_grid(*pdfs)
     return np.stack([p.log_values for p in pdfs])
 
 
-def logop(pdfs: Sequence[DensityGrid], w: PoolWeights) -> DensityGrid:
-    """Normalized weighted geometric mean of densities (log opinion pool)."""
-    logs = _stack(pdfs, w)
-    return DensityGrid.from_log(pdfs[0].grid, w.as_array() @ logs)
+def logop(pdfs: Sequence[DensityGrid], weights: Sequence[float]) -> DensityGrid:
+    """Normalized weighted geometric mean of densities (log opinion pool).
+
+    The weights pass the fusion weight rule, and the mix is one fusion step
+    with a zero likelihood increment.
+    """
+    logs = _stack(pdfs)
+    if len(weights) != len(pdfs):
+        raise WeightMismatch(f"{len(weights)} weights for {len(pdfs)} densities")
+    grid = pdfs[0].grid
+    zero = np.zeros((1, grid.n_cells))
+    mixed = consensus_update(logs, zero, zero, _weight_rows([weights]), grid.cell_volume)
+    return DensityGrid.rows(grid, mixed)[0]
 
 
 def kl_pool(pdfs: Sequence[DensityGrid]) -> DensityGrid:
@@ -64,7 +45,7 @@ def kl_pool(pdfs: Sequence[DensityGrid]) -> DensityGrid:
 
     Equals the log opinion pool with uniform weights 1/N.
     """
-    return logop(pdfs, PoolWeights.uniform(len(pdfs)))
+    return logop(pdfs, np.ones(len(pdfs)) / len(pdfs))
 
 
 def joint_likelihood(pdfs: Sequence[DensityGrid]) -> DensityGrid:

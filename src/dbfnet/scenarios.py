@@ -11,7 +11,7 @@ sensors for linear position sensors and runs the information-filter
 specialization. The formation task closes the loop: agents steer with
 artificial potentials acting on fused position estimates of one another.
 Benchmark 1 and formation share one fusion kernel
-(``engine.consensus_update`` and ``power_rows``) and one particle-bank
+(``density.consensus_update`` and ``power_rows``) and one particle-bank
 scheduler: the banks move on a pool thread while the calling thread fuses
 the fields, then both threads weigh banks taken from one queue. A move draws
 noise for a bank's position rows only, the rows its likelihood reads. Their
@@ -39,12 +39,14 @@ import numpy as np
 from .density import (
     DensityGrid,
     StateGrid,
+    consensus_update,
     l1_rows,
     normalize_rows,
+    power_rows,
     systematic_indices,
 )
 from .bounds import multiloop_bound
-from .engine import consensus_update, move_fusion_state, multiloop_fuse, power_rows
+from .engine import move_fusion_state, multiloop_fuse
 from .errors import ConfigInvalid, DbfError
 from .infofilter import (
     InfoState,
@@ -654,6 +656,9 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     measures nothing, so its consensus pair stays zero and it keeps every bit
     of ``centralized_info_step``.
     """
+    for name in ("prior_pos_sigma", "prior_vel_sigma"):
+        if getattr(cfg, name) == 0:
+            raise ConfigInvalid(f"benchmark 2 needs {name} > 0 for an invertible prior covariance")
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     n = cfg.n_agents
@@ -687,7 +692,7 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
         # axis-0 reductions add row by row, as centralized_info_step does
         pred.z[n] = np.add.reduce(np.concatenate((pred.z[n:], i_new[:n_sensing])))
         pred.Z[n] = np.add.reduce(np.concatenate((pred.Z[n:], big_i_new[:n_sensing])))
-        x_hat, p, states = info_update(info_fuse(pred, i_new, big_i_new, mix, k, n))
+        x_hat, p, states = info_update(info_fuse(pred, i_new, big_i_new, mix, k), n)
         estimates[k - 1] = x_hat[:n, ::2]
         sq_err[k - 1] = ((x_hat[:, ::2] - truth_xy) ** 2).sum(axis=1)
         trace_p[k - 1] = np.trace(p, axis1=1, axis2=2)
@@ -846,7 +851,9 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
 
     log_u = None
     log_l_prev = None
-    prev_controls = np.zeros((n, 2))
+    # entry (i, j): agent i's view of agent j's last control, which its
+    # filter of agent j moves with; the diagonal is what the agents applied
+    controls = np.zeros((n, n, 2))
     prev_neighbors: list[list[int]] | None = None
     # modest refresh jitter: interpolated scoring has no cell-boundary gaps
     # to cover, so the jitter only needs to restore cloud diversity. It is
@@ -865,10 +872,8 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
             # predict each instance with the control its target presumably
             # applied; the banks move on the pool thread while this thread
             # builds the fused fields
-            applied = _formation_controls(est, prev_neighbors, cfg) if k > 1 else np.zeros((n, n, 2))
-            applied[diag, diag] = prev_controls
             banks.move(
-                [partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in applied.reshape(-1, 2)]
+                [partial(_drift_motion, cfg.dt * u, cfg.process_noise, hw) for u in controls.reshape(-1, 2)]
             )
             neighbors = _nearest_two(pos, prev_neighbors)
             # agent i ranges its two nearest neighbors; the bridges only carry messages
@@ -909,9 +914,8 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
                 particles[b] += rough[:, None] * rngs[b].standard_normal(particles.shape[1:])
                 means[b] = particles[b] @ np.full(cfg.particles, 1.0 / cfg.particles)
 
-            controls = _formation_controls(est, neighbors, cfg)[diag, diag]
-            pos = np.clip(pos + cfg.dt * controls, -hw, hw)
-            prev_controls = controls
+            controls = _formation_controls(est, neighbors, cfg)
+            pos = np.clip(pos + cfg.dt * controls[diag, diag], -hw, hw)
             prev_neighbors = neighbors
 
             for i in range(n):

@@ -18,6 +18,8 @@ from .errors import Disconnected, DomainError, NotSymmetric, WeightRowInvalid
 _DS_TOL = 1e-12
 _EDGE_TOL = 1e-12
 _ROW_TOL = 1e-9
+_EXTRA_EDGE_PROB = 0.3
+_SCHEDULE_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -322,7 +324,7 @@ def sigma_m(s: AdjacencySchedule) -> float:
     return max(second_singular_value(window_product(s, k, length)) for k in range(s.period))
 
 
-def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3) -> Digraph:
+def random_connected_graph(n: int, rng: np.random.Generator) -> Digraph:
     """Random undirected connected graph: a random tree plus extra edges."""
     pairs = []
     order = rng.permutation(n)
@@ -331,7 +333,7 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
         pairs.append((int(order[idx]), int(attach)))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.uniform() < extra_edge_prob:
+            if rng.uniform() < _EXTRA_EDGE_PROB:
                 pairs.append((i, j))
     return Digraph.undirected(n, pairs)
 
@@ -342,14 +344,13 @@ def random_schedule(
     b: int = 1,
     slots: int = 1,
     require_gamma_below_half: bool = False,
-    max_tries: int = 200,
 ) -> AdjacencySchedule:
     """Random periodic schedule satisfying the connectivity assumption.
 
     With b == 1 every slot is a connected graph. With b > 1 each slot carries
     a piece of a connected graph and only windows of length b reconnect.
     """
-    for _ in range(max_tries):
+    for _ in range(_SCHEDULE_TRIES):
         mats = []
         if b == 1:
             for _ in range(slots):

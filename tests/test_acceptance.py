@@ -44,7 +44,7 @@ from dbfnet.infofilter import (
     info_predict,
     info_update,
 )
-from dbfnet.pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, logop
+from dbfnet.pools import bayes_update, joint_likelihood, kl_pool, logop
 from dbfnet.scenarios import (
     BenchmarkConfig,
     FormationConfig,
@@ -91,7 +91,7 @@ def test_criterion_01_pool_commutes_with_update():
         pdfs = [_random_density(rng, g) for _ in range(m)]
         lik = _random_density(rng, g)
         raw = rng.uniform(0.05, 1.0, m)
-        w = PoolWeights(tuple(raw / raw.sum()))
+        w = raw / raw.sum()
         pool_then_update = bayes_update(logop(pdfs, w), lik)
         update_then_pool = logop([bayes_update(p, lik) for p in pdfs], w)
         rel = np.abs(pool_then_update.values - update_then_pool.values)
@@ -130,7 +130,7 @@ def test_criterion_03_kl_pool_minimizes_divergence():
             rho = DensityGrid.from_log(g, pool.log_values + jitter)
             perturbed = sum(kl_divergence(rho, p) for p in pdfs)
             worst_gap = max(worst_gap, objective - perturbed)
-        uniform = logop(pdfs, PoolWeights.uniform(m))
+        uniform = logop(pdfs, np.full(m, 1.0 / m))
         worst_eq = max(worst_eq, float(np.abs(pool.log_values - uniform.log_values).max()))
     ok = worst_gap <= 1e-12 and worst_eq <= 1e-12
     _line(3, ok, f"objective excess {worst_gap:.3e} over 10x100 perturbations, uniform-pool gap {worst_eq:.3e}")
@@ -333,8 +333,8 @@ def test_criterion_09_information_filter_equivalence():
         y = rng.standard_normal(obs)
 
         s = info_predict(InfoState.from_moments(x, p), model)
-        s = info_fuse(s, *info_measurement(y, model, 0), [], 1, n_agents=1)
-        x_info, p_info, _ = info_update(s)
+        s = info_fuse(s, *info_measurement(y, model, 0), [], 1)
+        x_info, p_info, _ = info_update(s, 1)
 
         x_pred, p_pred = f @ x, f @ p @ f.T + q
         gain = p_pred @ h.T @ np.linalg.inv(h @ p_pred @ h.T + r)
@@ -356,8 +356,8 @@ def test_criterion_09_information_filter_equivalence():
         y = np.array([0.3 * k - 0.5])
         pred = info_predict(solo, model)
         received = [] if k == 1 else [(solo.u, solo.U, 1.0)]
-        fused = info_fuse(pred, *info_measurement(y, model, 0), received, k, n_agents=1)
-        x_solo, p_solo, solo = info_update(fused)
+        fused = info_fuse(pred, *info_measurement(y, model, 0), received, k)
+        x_solo, p_solo, solo = info_update(fused, 1)
         x_c, p_c, central = centralized_info_step(central, model, [y])
         exact = exact and np.array_equal(x_solo, x_c) and np.array_equal(p_solo, p_c)
 

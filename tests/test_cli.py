@@ -260,6 +260,26 @@ def test_run_rejects_a_negative_prior_spread_or_radius(tmp_path, capsys, scenari
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["prior_pos_sigma", "prior_vel_sigma"])
+def test_benchmark2_rejects_a_zero_prior_spread(tmp_path, capsys, field):
+    # the information filter inverts the prior covariance; benchmark 1 samples it
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", "benchmark2", "--dt", "0.5", "--set", "duration=2", "--set", f"{field}=0",
+                   "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
+def test_benchmark1_accepts_a_zero_prior_position_spread(tmp_path):
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", "benchmark1", "--dt", "0.5", "--set", "duration=2", "--set", "particles=1000",
+                   "--set", "prior_pos_sigma=0", "--outdir", str(out))
+    assert code == 0
+    assert (out / "metrics.csv").exists()
+
+
 # -------------------------------------------------------------------- bounds
 
 
@@ -570,7 +590,7 @@ def test_public_surface_is_the_listed_names():
     assert public == {
         "AdjacencyMatrix", "AdjacencySchedule", "AgentState", "BenchmarkConfig", "ChannelNoise",
         "ConvergenceParams", "DensityGrid", "Digraph", "FormationConfig", "InfoState", "LinearModel",
-        "MultiloopConfig", "PoolWeights", "RunMetrics", "SensorModel", "StateGrid", "TargetModel",
+        "MultiloopConfig", "RunMetrics", "SensorModel", "StateGrid", "TargetModel",
         "bayes_update", "check_assumption1", "dbf_step", "delta_max", "delta_min", "estimate_theta_l",
         "fuse", "info_fuse", "info_measurement", "info_predict", "info_update", "initial_disagreement",
         "inject_channel_noise", "joint_likelihood", "kappa", "kl_divergence", "kl_pool", "l1_distance",

@@ -27,7 +27,7 @@ from dbfnet.engine import (
 )
 from dbfnet.errors import GridMismatch, KernelInvalid, WeightRowInvalid
 from dbfnet.infofilter import InfoState, info_fuse
-from dbfnet.pools import bayes_update, joint_likelihood, kl_pool
+from dbfnet.pools import bayes_update, joint_likelihood, kl_pool, logop
 from dbfnet.topology import (
     Digraph,
     local_degree_weights,
@@ -194,15 +194,19 @@ def test_fuse_complete_pair_reaches_pool_in_one_exchange():
 
 
 def test_fuse_static_likelihood_reduces_to_logop():
-    g = grid_1d()
-    lik = DensityGrid.gaussian(g, 0.0, [[1.0]])
-    u_a = DensityGrid.gaussian(g, -2.0, [[0.5]])
-    u_b = DensityGrid.gaussian(g, 2.0, [[0.8]])
-    out = fuse(lik, lik, [(u_a, 0.25), (u_b, 0.75)], 3)
-    from dbfnet.pools import PoolWeights, logop
-
-    expected = logop([u_a, u_b], PoolWeights((0.25, 0.75)))
-    assert l1_distance(out, expected) <= 1e-12
+    # with L_k = L_{k-1} a fusion step is the log pool of the received
+    # states, and both run one kernel, so they agree bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        dims = int(rng.integers(1, 3))
+        lower = rng.uniform(-10.0, 0.0, dims)
+        g = StateGrid(tuple(lower), tuple(lower + rng.uniform(1.0, 20.0, dims)), tuple(rng.integers(2, 40, dims)))
+        lik = DensityGrid.from_log(g, rng.uniform(-30.0, 5.0, g.n_cells))
+        us = [DensityGrid.from_log(g, rng.uniform(-30.0, 5.0, g.n_cells)) for _ in range(rng.integers(1, 6))]
+        w = rng.uniform(0.01, 1.0, len(us))
+        w /= w.sum()
+        out = fuse(lik, lik, list(zip(us, w)), 2)
+        np.testing.assert_array_equal(out.log_values, logop(us, w).log_values)
 
 
 # ----------------------------------------------------------- power / update
@@ -530,6 +534,11 @@ def _fuse_with(a):
     fuse(lik, lik, [(lik, w) for w in a[0]], 2)
 
 
+def _logop_with(a):
+    lik = DensityGrid.gaussian(grid_1d(), 0.0, [[1.0]])
+    logop([lik, lik], a[0])
+
+
 def _dbf_step_with(a):
     agents, sms, ys = _two_agents(grid_1d())
     dbf_step(agents, a, 2, None, sms, ys)
@@ -540,21 +549,21 @@ def _multiloop_fuse_with(a):
 
 
 def _info_fuse_with(a):
-    s = info_fuse(InfoState.from_moments(np.zeros(1), np.eye(1)), np.ones(1), np.eye(1), [], 1, n_agents=2)
-    info_fuse(s, np.ones(1), np.eye(1), [(s.u, s.U, w) for w in a[0]], 2, n_agents=2)
+    s = info_fuse(InfoState.from_moments(np.zeros(1), np.eye(1)), np.ones(1), np.eye(1), [], 1)
+    info_fuse(s, np.ones(1), np.eye(1), [(s.u, s.U, w) for w in a[0]], 2)
 
 
 def _stacked_info_fuse_with(a):
     pairs = np.ones((2, 1)), np.ones((2, 1, 1))
-    s = info_fuse(InfoState(z=np.zeros((2, 1)), Z=np.ones((2, 1, 1))), *pairs, np.full((2, 2), 0.5), 1, 2)
-    info_fuse(s, *pairs, a, 2, 2)
+    s = info_fuse(InfoState(z=np.zeros((2, 1)), Z=np.ones((2, 1, 1))), *pairs, np.full((2, 2), 0.5), 1)
+    info_fuse(s, *pairs, a, 2)
 
 
 @pytest.mark.parametrize("row", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
 @pytest.mark.parametrize(
     "entry",
-    [_fuse_with, _dbf_step_with, _multiloop_fuse_with, _info_fuse_with, _stacked_info_fuse_with],
-    ids=["fuse", "dbf_step", "multiloop_fuse", "info_fuse", "stacked-info_fuse"],
+    [_fuse_with, _logop_with, _dbf_step_with, _multiloop_fuse_with, _info_fuse_with, _stacked_info_fuse_with],
+    ids=["fuse", "logop", "dbf_step", "multiloop_fuse", "info_fuse", "stacked-info_fuse"],
 )
 def test_every_fusion_entry_rejects_a_bad_weight_row(entry, row):
     a = np.array([row, [0.5, 0.5]])

@@ -157,9 +157,9 @@ def test_fuse_single_agent_is_bitwise_exact():
         iv = rng.standard_normal(2)
         im = random_spd(rng, 2)
         received = [] if k == 1 else [(s.u, s.U, 1.0)]
-        s = info_fuse(s, iv, im, received, k, n_agents=1)
-        np.testing.assert_array_equal(s.t, iv)
-        np.testing.assert_array_equal(s.T, im)
+        s = info_fuse(s, iv, im, received, k)
+        np.testing.assert_array_equal(s.u, iv)
+        np.testing.assert_array_equal(s.U, im)
 
 
 def test_fuse_complete_graph_reaches_sum_at_second_tick():
@@ -168,18 +168,18 @@ def test_fuse_complete_graph_reaches_sum_at_second_tick():
     infos = [(rng.standard_normal(3), random_spd(rng, 3)) for _ in range(n)]
     states = [InfoState.from_moments(np.zeros(3), np.eye(3)) for _ in range(n)]
     states = [
-        info_fuse(s, iv, im, [], 1, n_agents=n) for s, (iv, im) in zip(states, infos)
+        info_fuse(s, iv, im, [], 1) for s, (iv, im) in zip(states, infos)
     ]
     w = 1.0 / n
     new = []
     for i, (iv, im) in enumerate(infos):
         received = [(states[j].u, states[j].U, w) for j in range(n)]
-        new.append(info_fuse(states[i], iv, im, received, 2, n_agents=n))
+        new.append(info_fuse(states[i], iv, im, received, 2))
     total_i = sum(iv for iv, _ in infos)
     total_im = sum(im for _, im in infos)
     for s in new:
-        np.testing.assert_allclose(s.t, total_i, atol=1e-10)
-        np.testing.assert_allclose(s.T, total_im, atol=1e-10)
+        np.testing.assert_allclose(n * s.u, total_i, atol=1e-10)
+        np.testing.assert_allclose(n * s.U, total_im, atol=1e-10)
 
 
 def test_fuse_conserves_information_sums():
@@ -199,7 +199,7 @@ def test_fuse_conserves_information_sums():
                 if k == 1
                 else [(states[j].u, states[j].U, float(a[i, j])) for j in range(n)]
             )
-            new.append(info_fuse(states[i], *infos[i], received, k, n_agents=n))
+            new.append(info_fuse(states[i], *infos[i], received, k))
         states = new
         sum_u = sum(s.u for s in states)
         sum_i = sum(iv for iv, _ in infos)
@@ -212,14 +212,14 @@ def test_fuse_conserves_information_sums():
 
 def test_fuse_rejects_bad_rows_and_ticks():
     s = InfoState.from_moments(np.zeros(1), np.eye(1))
-    s = info_fuse(s, np.ones(1), np.eye(1), [], 1, n_agents=2)
+    s = info_fuse(s, np.ones(1), np.eye(1), [], 1)
     with pytest.raises(WeightRowInvalid):
-        info_fuse(s, np.ones(1), np.eye(1), [(s.u, s.U, 0.5)], 2, n_agents=2)
+        info_fuse(s, np.ones(1), np.eye(1), [(s.u, s.U, 0.5)], 2)
     with pytest.raises(ValueError):
-        info_fuse(s, np.ones(1), np.eye(1), [], 0, n_agents=2)
+        info_fuse(s, np.ones(1), np.eye(1), [], 0)
     bare = InfoState.from_moments(np.zeros(1), np.eye(1))
     with pytest.raises(ValueError):
-        info_fuse(bare, np.ones(1), np.eye(1), [(np.ones(1), np.eye(1), 1.0)], 2, n_agents=2)
+        info_fuse(bare, np.ones(1), np.eye(1), [(np.ones(1), np.eye(1), 1.0)], 2)
 
 
 # ------------------------------------------------------------------ update
@@ -227,8 +227,8 @@ def test_fuse_rejects_bad_rows_and_ticks():
 
 def test_update_without_information_keeps_prior():
     s = InfoState.from_moments(np.array([1.0, -2.0]), np.diag([2.0, 0.5]))
-    s = info_fuse(s, np.zeros(2), np.zeros((2, 2)), [], 1, n_agents=1)
-    x_hat, p, post = info_update(s)
+    s = info_fuse(s, np.zeros(2), np.zeros((2, 2)), [], 1)
+    x_hat, p, post = info_update(s, 1)
     np.testing.assert_allclose(x_hat, [1.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(p, np.diag([2.0, 0.5]), atol=1e-12)
 
@@ -236,13 +236,13 @@ def test_update_without_information_keeps_prior():
 def test_update_requires_fuse_first():
     s = InfoState.from_moments(np.zeros(1), np.eye(1))
     with pytest.raises(ValueError):
-        info_update(s)
+        info_update(s, 1)
 
 
 def test_update_singular_posterior():
-    s = InfoState(z=np.zeros(2), Z=np.zeros((2, 2)), t=np.zeros(2), T=np.zeros((2, 2)))
+    s = InfoState(z=np.zeros(2), Z=np.zeros((2, 2)), u=np.zeros(2), U=np.zeros((2, 2)))
     with pytest.raises(SingularPosterior):
-        info_update(s)
+        info_update(s, 1)
 
 
 def test_single_agent_tick_matches_covariance_filter():
@@ -260,8 +260,8 @@ def test_single_agent_tick_matches_covariance_filter():
         y = rng.standard_normal(obs)
 
         s = info_predict(InfoState.from_moments(x, p), model)
-        s = info_fuse(s, *info_measurement(y, model, 0), [], 1, n_agents=1)
-        x_info, p_info, _ = info_update(s)
+        s = info_fuse(s, *info_measurement(y, model, 0), [], 1)
+        x_info, p_info, _ = info_update(s, 1)
 
         x_pred, p_pred = covariance_predict(x, p, f, q)
         x_ref, p_ref = covariance_update(x_pred, p_pred, y, h, r)
@@ -321,14 +321,14 @@ def test_complete_graph_converges_to_centralized_trajectory():
                 if k == 1
                 else [(agents[j].u, agents[j].U, w) for j in range(n)]
             )
-            fused.append(info_fuse(preds[i], *infos[i], received, k, n_agents=n))
+            fused.append(info_fuse(preds[i], *infos[i], received, k))
         agents = []
         worst = 0.0
         for s in fused:
             if k >= 2:
                 total_i = sum(iv for iv, _ in infos)
-                np.testing.assert_allclose(s.t, total_i, atol=1e-10)
-            x_hat, _, post = info_update(s)
+                np.testing.assert_allclose(n * s.u, total_i, atol=1e-10)
+            x_hat, _, post = info_update(s, n)
             worst = max(worst, float(np.abs(x_hat - x_c).max()))
             agents.append(post)
         gap.append(worst)
@@ -358,8 +358,8 @@ def test_grid_and_information_forms_agree_in_one_dimension():
             grid_predict(density, tm), normalized_likelihood(sm, y, grid)
         )
         s = info_predict(info, model)
-        s = info_fuse(s, *info_measurement(y, model, 0), [] if k == 1 else [(s.u, s.U, 1.0)], k, n_agents=1)
-        x_hat, p, info = info_update(s)
+        s = info_fuse(s, *info_measurement(y, model, 0), [] if k == 1 else [(s.u, s.U, 1.0)], k)
+        x_hat, p, info = info_update(s, 1)
 
         mean = density.mean()[0]
         var = float(
@@ -432,7 +432,7 @@ def stacked_tick(states, model, ys, sensing, a, k):
     i_new, big_i_new = np.zeros((n, dim)), np.zeros((n, dim, dim))
     if sensing.size:
         i_new[sensing], big_i_new[sensing] = info_measurement(ys[sensing], model, sensing)
-    return info_update(info_fuse(info_predict(states, model), i_new, big_i_new, a, k, n))
+    return info_update(info_fuse(info_predict(states, model), i_new, big_i_new, a, k), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,9 +506,9 @@ def test_stacked_fuse_takes_an_adjacency_matrix():
     rng = np.random.default_rng(5)
     first = rng.standard_normal((n, dim)), np.tile(np.eye(dim), (n, 1, 1))
     second = rng.standard_normal((n, dim)), np.tile(2.0 * np.eye(dim), (n, 1, 1))
-    s = info_fuse(_stack(n, dim), *first, a, 1, n)
-    by_matrix, by_values = (info_fuse(s, *second, w, 2, n) for w in (a, a.values))
-    for name in ("u", "U", "t", "T", "i_prev", "I_prev"):
+    s = info_fuse(_stack(n, dim), *first, a, 1)
+    by_matrix, by_values = (info_fuse(s, *second, w, 2) for w in (a, a.values))
+    for name in ("u", "U", "i_prev", "I_prev"):
         np.testing.assert_array_equal(getattr(by_matrix, name), getattr(by_values, name))
 
 
@@ -516,20 +516,20 @@ def test_stacked_errors():
     n, dim = 4, 2
     a = np.full((n, n), 1.0 / n)
     pairs = np.ones((n, dim)), np.tile(np.eye(dim), (n, 1, 1))
-    s = info_fuse(_stack(n), *pairs, a, 1, n)
+    s = info_fuse(_stack(n), *pairs, a, 1)
     bad = a.copy()
     bad[2, 3] += 0.1
     with pytest.raises(WeightRowInvalid):
-        info_fuse(s, *pairs, bad, 2, n)
+        info_fuse(s, *pairs, bad, 2)
     bad = a.copy()
     bad[1, 0], bad[1, 1] = -0.25, 0.75
     with pytest.raises(WeightRowInvalid):
-        info_fuse(s, *pairs, bad, 2, n)
+        info_fuse(s, *pairs, bad, 2)
 
     z_mat = s.Z.copy()
     z_mat[2] = -10.0 * np.eye(dim)
     with pytest.raises(SingularPosterior, match="agent row 2"):
-        info_update(replace(s, Z=z_mat))
+        info_update(replace(s, Z=z_mat), n)
 
     model = LinearModel(f=np.eye(dim), q=np.eye(dim), h=(None,) * n, r=(None,) * n)
     z_mat = s.Z.copy()

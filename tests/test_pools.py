@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbfnet.density import DensityGrid, StateGrid, kl_divergence, l1_distance
 from dbfnet.errors import GridMismatch, WeightMismatch
-from dbfnet.pools import PoolWeights, bayes_update, joint_likelihood, kl_pool, logop
+from dbfnet.pools import bayes_update, joint_likelihood, kl_pool, logop
 
 
 def grid_1d(lo=-6.0, hi=6.0, n=128):
@@ -39,40 +39,39 @@ def weight_tuples(draw, n):
         )
     )
     total = sum(raw)
-    return PoolWeights(tuple(x / total for x in raw))
+    return [x / total for x in raw]
 
 
 SMALL = grid_1d(0.0, 8.0, 8)
 
 
-# -------------------------------------------------------------- PoolWeights
+# ------------------------------------------------------------------ weights
 
 
 def test_weights_validation():
+    p = DensityGrid.uniform(grid_1d())
     with pytest.raises(ValueError):
-        PoolWeights(())
+        logop([], [])
     with pytest.raises(ValueError):
-        PoolWeights((0.5, -0.5, 1.0))
-    with pytest.raises(ValueError):
-        PoolWeights((0.5, 0.4))
-    w = PoolWeights.uniform(4)
-    np.testing.assert_allclose(w.as_array(), 0.25)
+        kl_pool([])
+    with pytest.raises(WeightMismatch):
+        logop([p], [])
 
 
 def test_weight_count_mismatch():
     g = grid_1d()
     p = DensityGrid.uniform(g)
     with pytest.raises(WeightMismatch):
-        logop([p, p], PoolWeights.uniform(3))
+        logop([p, p], [1 / 3] * 3)
     with pytest.raises(WeightMismatch):
-        logop([p], PoolWeights.uniform(2))
+        logop([p], [0.5, 0.5])
 
 
 def test_grid_mismatch():
     p = DensityGrid.uniform(grid_1d(n=64))
     q = DensityGrid.uniform(grid_1d(n=32))
     with pytest.raises(GridMismatch):
-        logop([p, q], PoolWeights.uniform(2))
+        logop([p, q], [0.5, 0.5])
     with pytest.raises(GridMismatch):
         joint_likelihood([p, q])
     with pytest.raises(GridMismatch):
@@ -85,7 +84,7 @@ def test_grid_mismatch():
 def test_logop_identical_inputs():
     g = grid_1d()
     p = DensityGrid.gaussian(g, -1.0, [[0.7]])
-    out = logop([p, p], PoolWeights.uniform(2))
+    out = logop([p, p], [0.5, 0.5])
     assert l1_distance(out, p) <= 1e-12
 
 
@@ -94,7 +93,7 @@ def test_logop_gaussian_geometric_mean():
     g = grid_1d(-5.0, 7.0, 256)
     p = DensityGrid.gaussian(g, 0.0, [[1.0]])
     q = DensityGrid.gaussian(g, 2.0, [[1.0]])
-    out = logop([p, q], PoolWeights.uniform(2))
+    out = logop([p, q], [0.5, 0.5])
     expected = DensityGrid.gaussian(g, 1.0, [[1.0]])
     assert l1_distance(out, expected) <= 1e-6
 
@@ -106,7 +105,7 @@ def test_logop_shared_modes_stay_bimodal():
     p = DensityGrid.from_values(g, 0.5 * (a.values + b.values))
     a, b = DensityGrid.gaussian(g, -2.9, [[0.4]]), DensityGrid.gaussian(g, 3.1, [[0.4]])
     q = DensityGrid.from_values(g, 0.5 * (a.values + b.values))
-    out = logop([p, q], PoolWeights.uniform(2))
+    out = logop([p, q], [0.5, 0.5])
     peaks = local_maxima(out.values)
     assert len(peaks) == 2
 
@@ -116,8 +115,8 @@ def test_logop_permutation_invariant():
     p = DensityGrid.gaussian(g, -1.0, [[0.5]])
     q = DensityGrid.gaussian(g, 1.0, [[2.0]])
     r = DensityGrid.gaussian(g, 0.0, [[1.0]])
-    a = logop([p, q, r], PoolWeights((0.5, 0.3, 0.2)))
-    b = logop([r, p, q], PoolWeights((0.2, 0.5, 0.3)))
+    a = logop([p, q, r], [0.5, 0.3, 0.2])
+    b = logop([r, p, q], [0.2, 0.5, 0.3])
     assert l1_distance(a, b) <= 1e-12
 
 
@@ -135,7 +134,7 @@ def test_kl_pool_equals_uniform_logop():
     p = DensityGrid.gaussian(g, -1.0, [[0.5]])
     q = DensityGrid.gaussian(g, 1.5, [[1.1]])
     a = kl_pool([p, q])
-    b = logop([p, q], PoolWeights.uniform(2))
+    b = logop([p, q], [0.5, 0.5])
     np.testing.assert_array_equal(a.log_values, b.log_values)
 
 

@@ -918,12 +918,12 @@ def test_scenario2_agent_rows_equal_a_separate_consensus_stack(seed, n_toa, n_do
         i_new, big_i_new = np.zeros((n, 4)), np.zeros((n, 4, 4))
         i_new[:n_sensing], big_i_new[:n_sensing] = info_measurement(ys, model, np.arange(n_sensing))
         pred = info_predict(states, model)
-        agents = info_fuse(agents, i_new, big_i_new, benchmark_layout(cfg).adjacency.values, k, n)
+        agents = info_fuse(agents, i_new, big_i_new, benchmark_layout(cfg).adjacency.values, k)
         pred.z[n] = np.add.reduce(np.concatenate((pred.z[n:], i_new[:n_sensing])))
         pred.Z[n] = np.add.reduce(np.concatenate((pred.Z[n:], big_i_new[:n_sensing])))
-        t = np.concatenate((agents.t, np.zeros((1, 4))))
-        big_t = np.concatenate((agents.T, np.zeros((1, 4, 4))))
-        x, p, states = info_update(replace(pred, t=t, T=big_t))
+        u = np.concatenate((agents.u, np.zeros((1, 4))))
+        big_u = np.concatenate((agents.U, np.zeros((1, 4, 4))))
+        x, p, states = info_update(replace(pred, u=u, U=big_u), n)
         estimates.append(x[:n, ::2])
         sq_err = ((x[:n, ::2] - truth_xy) ** 2).sum(axis=1)
         trace_p = np.trace(p[:n], axis1=1, axis2=2)
