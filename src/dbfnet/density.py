@@ -5,8 +5,9 @@ values on the cell centers of a :class:`StateGrid`; sums of cell values times
 the cell volume stand in for integrals (midpoint rule). Construction always
 normalizes, then clamps every cell to a tiny positivity floor so that log
 ratios stay finite everywhere. Stacks of fields, one row per agent, run
-through one kernel: :func:`normalize_rows`, the fusion step
-:func:`consensus_update` and the power step :func:`power_rows`.
+through one kernel: :func:`normalize_rows`, the one normalizer, a single
+max-shift pass per field; the fusion step :func:`consensus_update`; and the
+power step :func:`power_rows`.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarra
     """Checked :func:`floor_and_normalize` of stacked fields, in place.
 
     Each row of the (m, n_cells) float array goes through
-    :func:`normalize_rows` twice. Raises ValueError on a wrong row length,
+    :func:`normalize_rows` once. Raises ValueError on a wrong row length,
     a NaN or a +inf cell, and AllZero when a row carries no mass.
     """
     if log_rows.ndim != 2 or log_rows.shape[1] != grid.n_cells:
@@ -238,26 +239,18 @@ def floor_and_normalize_rows(grid: StateGrid, log_rows: np.ndarray) -> np.ndarra
         if np.isposinf(top).any():
             raise ValueError("density has log mass inf: a cell is +inf")
         raise AllZero("density has no mass to normalize")
-    # the second pass keeps test_normalize_scale_invariant bit for bit
-    normalize_rows(log_rows, grid.cell_volume)
     return normalize_rows(log_rows, grid.cell_volume)
 
 
 def normalize_rows(log_values: np.ndarray, cell_volume: float) -> np.ndarray:
     """Normalize each field along the last axis of a stack in place, then floor it.
 
-    The maximal cells are split out of each field's sum and the rest enters
-    through ``log1p``, so the log mass keeps the precision of the small
-    terms. Returns the array it was given.
+    One max-shift pass: each field loses its maximum, then the log of its
+    shifted mass, ``log(sum(exp(.)) * cell_volume)``. Returns the array it
+    was given.
     """
-    top = log_values.max(axis=-1, keepdims=True)
-    rest = log_values - top
-    at_top = rest == 0.0
-    np.exp(rest, out=rest)
-    np.copyto(rest, 0.0, where=at_top)
-    ties = at_top.sum(axis=-1, keepdims=True)
-    log_mass = np.log1p(rest.sum(axis=-1, keepdims=True) / ties) + np.log(ties) + top
-    log_values -= log_mass + np.log(cell_volume)
+    log_values -= log_values.max(axis=-1, keepdims=True)
+    log_values -= np.log(np.exp(log_values).sum(axis=-1, keepdims=True) * cell_volume)
     np.maximum(log_values, LOG_FLOOR, out=log_values)
     return log_values
 

@@ -529,6 +529,18 @@ def _bank_workers(particles, log_w, means, positions, rngs) -> Iterator[_BankSch
         yield _BankScheduler(particles, log_w, means, positions, rngs, pool, workers)
 
 
+def _prior_variance(cfg: BenchmarkConfig, name: str, invertible: bool) -> float:
+    """The square of the prior spread ``name``. Raises ConfigInvalid naming
+    the field unless it is finite and, for an ``invertible`` prior, its
+    inverse, the prior information, is positive and finite too."""
+    sigma = getattr(cfg, name)
+    var = sigma * sigma
+    if not var < math.inf or invertible and not (var > 0.0 and 1.0 / var < math.inf):
+        need = f"a positive, finite prior information 1 / {name}^2" if invertible else f"a finite variance {name}^2"
+        raise ConfigInvalid(f"{name} must give {need}, got {sigma!r}")
+    return var
+
+
 def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     """Density fusion tracking run with range and bearing sensors.
 
@@ -541,6 +553,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     ``region``. Moving the window re-evaluates the previous likelihood on it
     and carries the consensus correction across (``move_fusion_state``).
     """
+    var_v = _prior_variance(cfg, "prior_vel_sigma", invertible=False)
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     grid = cfg.position_grid()
@@ -561,7 +574,7 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     for bank, rng in zip(particles, rngs):
         bank[::2] = x0[::2, None] + cfg.prior_pos_sigma * rng.standard_normal((2, cfg.particles))
     rough_pos = 0.25 * float(grid.widths.min())
-    motions = [_MarginalMotion(cfg.dt, q[:2, :2], rough_pos, 0.1, cfg.prior_vel_sigma**2) for _ in range(n + 1)]
+    motions = [_MarginalMotion(cfg.dt, q[:2, :2], rough_pos, 0.1, var_v) for _ in range(n + 1)]
     positions = slice(None, None, 2)
     log_w = np.zeros((n + 1, cfg.particles))
     means = particles.mean(axis=2)
@@ -591,9 +604,15 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
             # while this thread builds the fused fields
             frame = (f @ means[:n].mean(axis=0))[::2]
             banks.move(motions)
-            new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
+            # a frame past int range casts to a far-off window, reported below
+            with np.errstate(invalid="ignore"):
+                new_offset = np.rint((frame - region_lower) / cell_width - half_window).astype(int)
             if offset is None or (new_offset != offset).any():
-                grid = cfg.position_grid(tuple(new_offset))
+                try:
+                    grid = cfg.position_grid(tuple(new_offset))
+                except ValueError as exc:
+                    raise DbfError(f"tick {k}: the window on the agents' mean {frame.tolist()} "
+                                   f"leaves float range: {exc}") from None
                 if log_l_prev is not None:
                     moved = _scenario1_log_likelihoods(cfg, layout, y_prev, grid)
                     shift = new_offset - offset
@@ -656,9 +675,7 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     measures nothing, so its consensus pair stays zero and it keeps every bit
     of ``centralized_info_step``.
     """
-    for name in ("prior_pos_sigma", "prior_vel_sigma"):
-        if getattr(cfg, name) == 0:
-            raise ConfigInvalid(f"benchmark 2 needs {name} > 0 for an invertible prior covariance")
+    var_pos, var_vel = (_prior_variance(cfg, name, invertible=True) for name in ("prior_pos_sigma", "prior_vel_sigma"))
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     n = cfg.n_agents
@@ -673,7 +690,7 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     model = LinearModel(f=f, q=q, h=h, r=r)
 
     prior_rng = named_stream(cfg.seed, "prior")
-    p0 = np.diag([cfg.prior_pos_sigma**2, cfg.prior_vel_sigma**2] * 2)
+    p0 = np.diag([var_pos, var_vel] * 2)
     x0_hat = truth_m[0] + np.sqrt(np.diag(p0)) * prior_rng.standard_normal(4)
     prior = InfoState.from_moments(x0_hat, p0)
     states = InfoState(z=np.tile(prior.z, (n + 1, 1)), Z=np.tile(prior.Z, (n + 1, 1, 1)))

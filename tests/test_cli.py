@@ -260,15 +260,45 @@ def test_run_rejects_a_negative_prior_spread_or_radius(tmp_path, capsys, scenari
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["prior_pos_sigma", "prior_vel_sigma"])
-def test_benchmark2_rejects_a_zero_prior_spread(tmp_path, capsys, field):
-    # the information filter inverts the prior covariance; benchmark 1 samples it
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(field, value, id=field if value == "0" else f"{field}-{value}")
+        for field in ("prior_pos_sigma", "prior_vel_sigma")
+        for value in ("0", "1e-170", "1e200")
+    ],
+)
+def test_benchmark2_rejects_a_zero_prior_spread(tmp_path, capsys, field, value):
+    # the information filter inverts the prior covariance; benchmark 1 samples it.
+    # 1e-170 squares to 0 and 1e200 to inf, so neither has an inverse in float range
     out = tmp_path / "x"
-    code = run_cli("run", "--scenario", "benchmark2", "--dt", "0.5", "--set", "duration=2", "--set", f"{field}=0",
+    code = run_cli("run", "--scenario", "benchmark2", "--dt", "0.5", "--set", "duration=2", "--set", f"{field}={value}",
                    "--outdir", str(out))
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
+def test_benchmark1_rejects_a_prior_velocity_spread_whose_square_overflows(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", "benchmark1", "--dt", "0.5", "--set", "duration=2",
+                   "--set", "prior_vel_sigma=1e200", "--outdir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "prior_vel_sigma" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, tick", [("prior_pos_sigma=1e30", 1), ("prior_vel_sigma=1e150", 2)])
+def test_benchmark1_window_leaving_float_range_is_a_run_error(tmp_path, capsys, override, tick):
+    # the particles start (or move) past float range, and the window follows them
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", "benchmark1", "--dt", "0.5", "--set", "duration=1", "--set", override,
+                   "--outdir", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: tick {tick}: the window" in err and "float range" in err
     assert not out.exists()
 
 

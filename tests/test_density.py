@@ -100,18 +100,37 @@ def test_normalize_two_cells():
 
 def test_normalize_scale_invariant():
     g = grid_1d()
-    raw = np.exp(-0.5 * g.axes[0] ** 2)
+    # shifting a log field by +-250 ln 10 moves the normalized field by rounding
+    # only; these fields stay above -162, so a shifted cell is below 1024 in
+    # magnitude, where one ulp is 1.1e-13
+    rng = np.random.default_rng(11)
+    fields = [-0.5 * g.axes[0] ** 2]
+    for mean, sigma in zip(rng.uniform(-3.0, 3.0, 200), rng.uniform(0.5, 3.0, 200)):
+        fields.append(-0.5 * ((g.axes[0] - mean) / sigma) ** 2)
+    shift = 250.0 * math.log(10.0)
+    for log_field in fields:
+        a = DensityGrid.from_log(g, log_field).log_values
+        for sign in (1.0, -1.0):
+            b = DensityGrid.from_log(g, log_field + sign * shift).log_values
+            assert np.abs(b - a).max() <= 2e-13
+    # scaling the values by 1e+-250 keeps them to 1e-12 relative
+    raw = np.exp(fields[0])
     a = DensityGrid.from_values(g, raw)
-    b = DensityGrid.from_values(g, 1e250 * raw)
-    c = DensityGrid.from_values(g, 1e-250 * raw)
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.values, c.values)
+    np.testing.assert_allclose(DensityGrid.from_values(g, 1e250 * raw).values, a.values, rtol=1e-12)
+    np.testing.assert_allclose(DensityGrid.from_values(g, 1e-250 * raw).values, a.values, rtol=1e-12)
 
 
 def test_normalize_all_zero():
     g = SMALL
     with pytest.raises(AllZero):
         DensityGrid.from_values(g, np.zeros(g.n_cells))
+
+
+def _normalized_row(row, cell_volume):
+    """One field normalized and floored cell by cell, its mass summed exactly by fsum."""
+    top = max(row)
+    log_mass = math.log(math.fsum(math.exp(v - top) for v in row) * cell_volume)
+    return [max(v - top - log_mass, LOG_FLOOR) for v in row]
 
 
 def test_normalize_rows_matches_floor_and_normalize():
@@ -135,6 +154,11 @@ def test_normalize_rows_matches_floor_and_normalize():
     for field, raw_field in zip(rows.reshape(-1, g.n_cells), stack.reshape(-1, g.n_cells)):
         DensityGrid(g, field)
         np.testing.assert_allclose(field, DensityGrid.from_log(g, raw_field).log_values, atol=1e-12)
+    # each row against the per-cell oracle, shifted by +-575 too
+    for fields in (raw, stack, stack + 575.0, stack - 575.0):
+        flat = fields.reshape(-1, g.n_cells)
+        for field, raw_field in zip(normalize_rows(fields.copy(), g.cell_volume).reshape(flat.shape), flat):
+            np.testing.assert_allclose(field, _normalized_row(raw_field.tolist(), g.cell_volume), rtol=0, atol=1e-13)
 
 
 def test_floor_and_normalize_all_minus_inf_has_no_mass():

@@ -12,7 +12,9 @@ compares the two sets byte for byte:
 
     diff -rq parent_out change_out
 
-The whole set takes about half a minute on a 2-core machine.
+``tools/compare_outputs.py parent_out change_out`` says how far any file
+that moved has moved. The whole set takes about half a minute on a 2-core
+machine.
 """
 
 import os
