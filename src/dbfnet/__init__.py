@@ -40,7 +40,6 @@ from .engine import (
     TargetModel,
     dbf_step,
     fuse,
-    inject_channel_noise,
     multiloop_fuse,
     normalized_likelihood,
     power_estimate,

@@ -64,11 +64,6 @@ class TargetModel:
         object.__setattr__(self, "kernel", k)
 
     @classmethod
-    def static(cls, grid: StateGrid) -> "TargetModel":
-        """Identity dynamics: the state does not move."""
-        return cls(grid, np.eye(grid.n_cells) / grid.cell_volume)
-
-    @classmethod
     def gaussian_walk(cls, grid: StateGrid, cov) -> "TargetModel":
         """Random walk with Gaussian increments, truncated to the grid box.
 
@@ -119,24 +114,15 @@ class ChannelNoise:
         return floor_and_normalize_rows(grid, rows + self.rng.uniform(-eps, eps, size=rows.shape))
 
 
-def inject_channel_noise(u: DensityGrid, noise: ChannelNoise) -> DensityGrid:
-    """Corrupt a communicated fusion density within the channel budget."""
-    if noise.eps_u == 0.0:
-        return u
-    return DensityGrid.rows(u.grid, noise.corrupt(u.grid, u.log_values[None], noise.eps_u))[0]
-
-
 @dataclass(frozen=True)
 class AgentState:
     """One agent's densities after a tick.
 
-    ``w`` is the posterior, ``s`` the predicted prior, ``l`` the latest
-    normalized likelihood, ``u`` the fusion state, ``t`` the power estimate
-    of the joint likelihood.
+    ``w`` is the posterior, ``l`` the latest normalized likelihood, ``u``
+    the fusion state, ``t`` the power estimate of the joint likelihood.
     """
 
     w: DensityGrid
-    s: DensityGrid | None = None
     l: DensityGrid | None = None
     u: DensityGrid | None = None
     t: DensityGrid | None = None
@@ -267,15 +253,12 @@ def dbf_step(
         log_u = log_l
     else:
         a_pos = _weight_rows(adjacency)
-        senders = np.flatnonzero(a_pos.any(axis=0))
-        if any(agents[j].u is None for j in senders):
+        if any(st.u is None for st in agents):
             raise ValueError("fusion state missing; was tick 1 run?")
         if any(st.l is None for st in agents):
             raise ValueError("previous likelihood required after the first tick")
-        _check_same_grid(agents[0].w, *[st.l for st in agents], *[agents[j].u for j in senders])
-        log_u_prev = np.zeros((n, grid.n_cells))
-        for j in senders:
-            log_u_prev[j] = agents[j].u.log_values
+        _check_same_grid(agents[0].w, *[st.l for st in agents], *[st.u for st in agents])
+        log_u_prev = np.stack([st.u.log_values for st in agents])
         log_l_prev = np.stack([st.l.log_values for st in agents])
         noisy = noise is not None and noise.eps_u > 0
         channel = partial(noise.corrupt, grid, eps=noise.eps_u) if noisy else None
@@ -287,11 +270,10 @@ def dbf_step(
     l1 = l1_rows(log_t, post[n:], vol)
 
     # every returned density comes from one stack, checked once
-    checked = DensityGrid.rows(grid, np.concatenate([log_l, log_u, log_s, log_t, post]))
-    l, u, s, t, w = (checked[i * n:(i + 1) * n] for i in range(5))
+    checked = DensityGrid.rows(grid, np.concatenate([log_l, log_u, log_t, post]))
+    l, u, t, w = (checked[i * n:(i + 1) * n] for i in range(4))
     u = l if log_u is log_l else u
-    s = [st.w for st in agents] if target_model is None else s
-    new_agents = [AgentState(w=w[i], s=s[i], l=l[i], u=u[i], t=t[i]) for i in range(n)]
+    new_agents = [AgentState(w=w[i], l=l[i], u=u[i], t=t[i]) for i in range(n)]
     return new_agents, StepDiagnostics(joint=checked[-1], l1_to_joint=l1)
 
 
@@ -327,7 +309,7 @@ def multiloop_fuse(
             log_u = consensus_update(log_u, log_u, log_u, mix, grid.cell_volume)
         log_t = power_rows(log_u, n, grid.cell_volume)
         norms.append(float(np.linalg.norm(l1_rows(log_t, joint.log_values, grid.cell_volume))))
-    fusion = list(likelihoods) if n_loop == 1 else DensityGrid.rows(grid, log_u)
+    fusion = DensityGrid.rows(grid, log_u)
     estimates = DensityGrid.rows(grid, log_t)
     return MultiloopResult(fusion=fusion, estimates=estimates, error_norms=np.asarray(norms))
 

@@ -68,6 +68,8 @@ from .topology import (
 )
 
 DT_MASTER = 0.01
+# draws of formation start positions before the box is taken as too small
+_START_TRIES = 10_000
 
 
 def _finite_real(value) -> bool:
@@ -647,7 +649,6 @@ def run_benchmark_scenario1(cfg: BenchmarkConfig) -> RunMetrics:
     names = (["sq_err", "l1_to_joint"] * n + ["sq_err"]) * cfg.steps
     values = np.column_stack((np.stack((sq_err, l1), axis=-1).reshape(cfg.steps, -1), c_sq_err))
     values = values.ravel().tolist()
-    values[2 * n :: width] = c_sq_err  # the reference's values are np.float64 scalars
     rows = list(zip(ticks, ids, names, values))
     max_l1 = l1.max(axis=1)
     steady = slice(int(math.floor(0.75 * cfg.steps)), cfg.steps)
@@ -676,6 +677,8 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     of ``centralized_info_step``.
     """
     var_pos, var_vel = (_prior_variance(cfg, name, invertible=True) for name in ("prior_pos_sigma", "prior_vel_sigma"))
+    if not 1.0 / cfg.r_linear < math.inf:
+        raise ConfigInvalid(f"r_linear must give a finite measurement information 1 / r_linear, got {cfg.r_linear!r}")
     layout = benchmark_layout(cfg)
     truth_m, noise_m = master_trajectory(cfg)
     n = cfg.n_agents
@@ -692,7 +695,13 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
     prior_rng = named_stream(cfg.seed, "prior")
     p0 = np.diag([var_pos, var_vel] * 2)
     x0_hat = truth_m[0] + np.sqrt(np.diag(p0)) * prior_rng.standard_normal(4)
-    prior = InfoState.from_moments(x0_hat, p0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prior = InfoState.from_moments(x0_hat, p0)
+    # rows 0 and 2 of the state are positions, rows 1 and 3 velocities
+    infinite = ~(np.isfinite(prior.z) & np.isfinite(prior.Z).all(axis=1))
+    if infinite.any():
+        name = ("prior_pos_sigma", "prior_vel_sigma")[int(np.argmax(infinite)) % 2]
+        raise ConfigInvalid(f"{name} must give a finite prior information vector and matrix, got {getattr(cfg, name)!r}")
     states = InfoState(z=np.tile(prior.z, (n + 1, 1)), Z=np.tile(prior.Z, (n + 1, 1, 1)))
     sqrt_r = math.sqrt(cfg.r_linear)
 
@@ -713,6 +722,9 @@ def run_benchmark_scenario2(cfg: BenchmarkConfig) -> RunMetrics:
         estimates[k - 1] = x_hat[:n, ::2]
         sq_err[k - 1] = ((x_hat[:, ::2] - truth_xy) ** 2).sum(axis=1)
         trace_p[k - 1] = np.trace(p, axis1=1, axis2=2)
+    finite = np.isfinite(sq_err).all(axis=1) & np.isfinite(trace_p).all(axis=1)
+    if not finite.all():
+        raise DbfError(f"tick {int(np.argmin(finite)) + 1}: a squared error or covariance trace is not finite")
 
     ticks = np.repeat(np.arange(1, cfg.steps + 1), 2 * (n + 1)).tolist()
     ids = np.tile(np.repeat([*range(n), -1], 2), cfg.steps).tolist()
@@ -848,14 +860,26 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     cells = grid.cells
     vol = grid.cell_volume
     hw = cfg.half_width
+    # the self density is inflated so that after the consensus power step it
+    # still spans a couple of grid cells; a narrower peak aliases on the grid
+    # and drops out whenever the fix jumps to the next cell
+    self_sigma = max(cfg.self_noise, 2.0 * float(grid.widths.min()) * math.sqrt(n))
+    if not self_sigma * self_sigma < math.inf:
+        name = "self_noise" if self_sigma == cfg.self_noise else "half_width"
+        raise ConfigInvalid(f"{name} gives a self-fix spread {self_sigma!r} whose square overflows")
 
     init_rng = named_stream(cfg.seed, "formation-init")
-    while True:
+    for _ in range(_START_TRIES):
         pos = init_rng.uniform(-0.45 * hw, 0.45 * hw, (n, 2))
         d = np.hypot(*(pos[:, None, :] - pos[None, :, :]).T).T
         np.fill_diagonal(d, np.inf)
         if d.min() > 0.6 * cfg.spacing:
             break
+    else:
+        raise ConfigInvalid(
+            f"no start positions 0.6 * spacing apart fit in a box 0.9 * half_width wide after {_START_TRIES} draws;"
+            f" got spacing {cfg.spacing!r} and half_width {hw!r}"
+        )
 
     meas_rng = named_stream(cfg.seed, "formation-meas")
     # bank i * n + j is agent i's filter of agent j, component major, (bank, axis, particle)
@@ -877,10 +901,6 @@ def run_formation(cfg: FormationConfig) -> RunMetrics:
     # added right after the resample, not folded into the next move as in
     # benchmark 1, because the controls read the resample tick's jittered means
     rough = np.full(2, 0.25 * float(grid.widths.min()))
-    # the self density is inflated so that after the consensus power step it
-    # still spans a couple of grid cells; a narrower peak aliases on the grid
-    # and drops out whenever the fix jumps to the next cell
-    self_sigma = max(cfg.self_noise, 2.0 * float(grid.widths.min()) * math.sqrt(n))
     anchor = None
 
     rows: list = []

@@ -76,6 +76,10 @@ def test_run_benchmark_from_config_file(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == "benchmark1"
     assert summary["steps"] == 5
+    # without --outdir the config file's outdir is used
+    from_file = tmp_path / "from_file"
+    assert run_cli("run", "--config", str(tiny_config(tmp_path, outdir=str(from_file)))) == 0
+    assert (from_file / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 def test_run_flag_precedence_over_config(tmp_path):
@@ -105,11 +109,15 @@ def test_run_repeat_is_byte_identical(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
-def test_run_default_outdir_from_env(tmp_path, monkeypatch):
+def test_run_default_outdir_from_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DBFNET_OUTPUT_ROOT", str(tmp_path / "root"))
     code = run_cli("run", "--scenario", "multiloop", "--set", "n_loop=2", "--set", "seed=7")
     assert code == 0
     assert (tmp_path / "root" / "multiloop-seed7" / "metrics.csv").exists()
+    # an output root that is a regular file cannot hold the run: an OSError, exit 1
+    monkeypatch.setenv("DBFNET_OUTPUT_ROOT", str(tmp_path / "root" / "multiloop-seed7" / "metrics.csv"))
+    assert run_cli("run", "--scenario", "multiloop", "--set", "n_loop=2", "--set", "seed=7") == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_key(tmp_path, capsys):
@@ -138,6 +146,12 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     assert run_cli("run", "--config", str(bad)) == 2
     bad.write_text("[1, 2]", encoding="utf-8")
     assert run_cli("run", "--config", str(bad)) == 2
+    # a config file with no scenario, or one that does not exist
+    for body in ('{"seed": 1}', '{"scenario": "benchmark3"}'):
+        bad.write_text(body, encoding="utf-8")
+        assert run_cli("run", "--config", str(bad), "--outdir", str(tmp_path / "x")) == 2
+        assert "scenario must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_rejects_invalid_scenario_values(tmp_path, capsys):
@@ -229,6 +243,11 @@ def test_run_rejects_a_malformed_count_or_box(tmp_path, capsys, scenario, overri
         ("formation", ["--set", "dt=NaN", "--set", "ticks=3"], "dt"),
         ("formation", ["--set", "half_width=Infinity"], "half_width"),
         ("formation", ["--set", "apf_gain=\"0.1\""], "apf_gain"),
+        # finite, but no start positions fit in the box, or the self-fix variance overflows
+        ("formation", ["--set", "half_width=0.1"], "half_width"),
+        ("formation", ["--set", "spacing=1e300"], "spacing"),
+        ("formation", ["--set", "self_noise=1e160"], "self_noise"),
+        ("formation", ["--set", "half_width=1e300"], "half_width"),
     ],
 )
 def test_run_rejects_a_float_field_that_is_not_a_finite_real(tmp_path, capsys, scenario, args, field):
@@ -265,12 +284,15 @@ def test_run_rejects_a_negative_prior_spread_or_radius(tmp_path, capsys, scenari
     [
         pytest.param(field, value, id=field if value == "0" else f"{field}-{value}")
         for field in ("prior_pos_sigma", "prior_vel_sigma")
-        for value in ("0", "1e-170", "1e200")
-    ],
+        for value in ("0", "1e-170", "1e200", "1e-154")
+    ]
+    + [pytest.param("r_linear", "1e-320", id="r_linear-1e-320")],
 )
 def test_benchmark2_rejects_a_zero_prior_spread(tmp_path, capsys, field, value):
     # the information filter inverts the prior covariance; benchmark 1 samples it.
-    # 1e-170 squares to 0 and 1e200 to inf, so neither has an inverse in float range
+    # 1e-170 squares to 0 and 1e200 to inf, so neither has an inverse in float range;
+    # 1e-154 gives an information of 1e308, whose product with the start state
+    # overflows, and 1 / 1e-320 is inf
     out = tmp_path / "x"
     code = run_cli("run", "--scenario", "benchmark2", "--dt", "0.5", "--set", "duration=2", "--set", f"{field}={value}",
                    "--outdir", str(out))
@@ -299,6 +321,16 @@ def test_benchmark1_window_leaving_float_range_is_a_run_error(tmp_path, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: tick {tick}: the window" in err and "float range" in err
+    assert not out.exists()
+
+
+def test_benchmark2_non_finite_metrics_are_a_run_error(tmp_path, capsys):
+    # a start 1e300 out squares past float range on the first tick
+    out = tmp_path / "x"
+    code = run_cli("run", "--scenario", "benchmark2", "--dt", "0.5", "--set", "duration=2",
+                   "--set", "x0=[1e300, 1.8, 30.0, 1.5]", "--outdir", str(out))
+    assert code == 1
+    assert "error: tick 1: a squared error or covariance trace is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -623,7 +655,7 @@ def test_public_surface_is_the_listed_names():
         "MultiloopConfig", "RunMetrics", "SensorModel", "StateGrid", "TargetModel",
         "bayes_update", "check_assumption1", "dbf_step", "delta_max", "delta_min", "estimate_theta_l",
         "fuse", "info_fuse", "info_measurement", "info_predict", "info_update", "initial_disagreement",
-        "inject_channel_noise", "joint_likelihood", "kappa", "kl_divergence", "kl_pool", "l1_distance",
+        "joint_likelihood", "kappa", "kl_divergence", "kl_pool", "l1_distance",
         "local_degree_weights", "logop", "metropolis_weights", "multiloop_bound", "multiloop_fuse",
         "normalized_likelihood", "power_estimate", "predict", "robust_delta_max", "robust_delta_min",
         "run_benchmark_scenario1", "run_benchmark_scenario2", "run_formation", "run_multiloop",

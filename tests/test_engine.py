@@ -16,7 +16,6 @@ from dbfnet.engine import (
     consensus_update,
     dbf_step,
     fuse,
-    inject_channel_noise,
     move_fusion_state,
     multiloop_fuse,
     normalized_likelihood,
@@ -60,7 +59,7 @@ def gaussian_sensor(sigma):
 def test_predict_identity_kernel():
     g = grid_1d()
     post = DensityGrid.gaussian(g, 1.0, [[0.5]])
-    out = predict(post, TargetModel.static(g))
+    out = predict(post, TargetModel(g, np.eye(g.n_cells) / g.cell_volume))
     assert l1_distance(out, post) <= 1e-12
 
 
@@ -108,7 +107,8 @@ def test_target_model_kernel_is_read_only():
 
 
 def test_predict_on_another_grid_is_grid_mismatch():
-    tm = TargetModel.static(grid_1d())
+    g = grid_1d()
+    tm = TargetModel(g, np.eye(g.n_cells) / g.cell_volume)
     with pytest.raises(GridMismatch):
         predict(DensityGrid.uniform(grid_1d(-5.0, 5.0)), tm)
 
@@ -316,19 +316,12 @@ def test_static_likelihoods_contract_toward_joint():
     assert errs[-1] < errs[0]
 
 
-def test_channel_noise_identity_at_zero():
-    g = grid_1d()
-    u = DensityGrid.gaussian(g, 0.0, [[1.0]])
-    noise = ChannelNoise.from_seed(0.0, 0.0, 9)
-    assert inject_channel_noise(u, noise) is u
-
-
 def test_channel_noise_bounded_log_perturbation():
     g = grid_1d()
     u = DensityGrid.gaussian(g, 0.0, [[1.0]])
     eps = 0.05
     noise = ChannelNoise.from_seed(eps, 0.0, 9)
-    out = inject_channel_noise(u, noise)
+    out = DensityGrid.rows(g, noise.corrupt(g, u.log_values[None], eps))[0]
     diff = out.log_values - u.log_values
     # renormalization shifts by a constant; the spread stays within 2 eps
     assert diff.max() - diff.min() <= 2 * eps
@@ -409,12 +402,12 @@ def reference_step(agents, a, k, tm, sms, ys, noise=None):
                 if a[i, j] <= 0.0:
                     continue
                 u_j = agents[j].u
-                if noise is not None and j != i:
-                    u_j = inject_channel_noise(u_j, noise)
+                if noise is not None and noise.eps_u > 0 and j != i:
+                    u_j = DensityGrid.rows(grid, noise.corrupt(grid, u_j.log_values[None], noise.eps_u))[0]
                 received.append((u_j, float(a[i, j])))
             u = fuse(used_l[i], agents[i].l, received, k)
         t = power_estimate(u, n)
-        out.append(AgentState(w=update(s, t), s=s, l=used_l[i], u=u, t=t))
+        out.append(AgentState(w=update(s, t), l=used_l[i], u=u, t=t))
     joint = joint_likelihood(true_l)
     return out, np.array([l1_distance(x.t, joint) for x in out]), joint
 
@@ -447,7 +440,7 @@ def test_dbf_step_matches_per_agent_reference(n, seed, moving, noisy, ticks):
         np.testing.assert_allclose(diag.l1_to_joint, ref_l1, atol=1e-9, rtol=0)
         np.testing.assert_allclose(diag.joint.log_values, ref_joint.log_values, atol=1e-9, rtol=0)
         for got, want in zip(agents, ref):
-            for name in ("w", "s", "l", "u", "t"):
+            for name in ("w", "l", "u", "t"):
                 np.testing.assert_allclose(
                     getattr(got, name).log_values, getattr(want, name).log_values, atol=1e-9, rtol=0
                 )
@@ -473,7 +466,7 @@ def test_every_density_dbf_step_returns_is_read_only(moving):
     for k in range(1, 4):
         ys = [np.array([0.3 * k - i]) for i in range(n)]
         agents, diag = dbf_step(agents, a, k, tm, sms, ys)
-        returned = [diag.joint] + [getattr(st, name) for st in agents for name in ("w", "s", "l", "u", "t")]
+        returned = [diag.joint] + [getattr(st, name) for st in agents for name in ("w", "l", "u", "t")]
         assert all(_read_only_through(d.log_values) for d in returned)
         with pytest.raises(ValueError):
             agents[0].w.log_values.base[0, 0] = 0.0
@@ -497,9 +490,14 @@ def test_dbf_step_errors():
     fresh = [AgentState.initial(DensityGrid.uniform(g)) for _ in range(2)]
     with pytest.raises(ValueError, match="fusion state missing"):
         dbf_step(fresh, np.full((2, 2), 0.5), 2, None, sms, ys)
-    # a receiver that takes no weight from the agent without a state is fine
-    partial = [agents[0], AgentState(w=agents[1].w, l=agents[1].l)]
-    dbf_step(partial, np.array([[1.0, 0.0], [1.0, 0.0]]), 2, None, sms, ys)
+    # every agent carries its fusion state and likelihood from tick 2 on, even
+    # one no receiver takes weight from
+    no_u = [agents[0], AgentState(w=agents[1].w, l=agents[1].l)]
+    with pytest.raises(ValueError, match="fusion state missing"):
+        dbf_step(no_u, np.array([[1.0, 0.0], [1.0, 0.0]]), 2, None, sms, ys)
+    no_l = [agents[0], AgentState(w=agents[1].w, u=agents[1].u)]
+    with pytest.raises(ValueError, match="previous likelihood required"):
+        dbf_step(no_l, np.full((2, 2), 0.5), 2, None, sms, ys)
     with pytest.raises(WeightRowInvalid):
         dbf_step(agents, np.array([[0.5, 0.4], [0.5, 0.5]]), 2, None, sms, ys)
     with pytest.raises(WeightRowInvalid):
@@ -509,7 +507,8 @@ def test_dbf_step_errors():
         dbf_step(agents, np.array([[1.0, -0.5], [0.5, 0.5]]), 2, None, sms, ys)
     # at tick 1 no weights are read
     dbf_step(fresh, np.array([[0.5, 0.4], [0.5, 0.5]]), 1, None, sms, ys)
-    elsewhere = TargetModel.static(grid_1d(-5.0, 5.0))
+    h = grid_1d(-5.0, 5.0)
+    elsewhere = TargetModel(h, np.eye(h.n_cells) / h.cell_volume)
     with pytest.raises(GridMismatch):
         dbf_step(agents, np.full((2, 2), 0.5), 2, elsewhere, sms, ys)
     # a rejected tick index draws no channel noise

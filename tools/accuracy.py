@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)
 DTS = (0.05, 0.5)
 L1_HIGH = 1.9
+RANGE_ROUNDING = 1e-9
 
 
 def one_seed(seed: int) -> dict:
@@ -94,11 +95,14 @@ def summarize(per_seed: dict) -> dict:
     """Per MSE: the parent's seed-to-seed spread (range, quartiles, median),
     the change's median, each seed's change against its parent, the seeds
     whose change falls outside the parent's range, and whether every seed
-    moved by less than the parent's quartile spread."""
+    moved by less than the parent's quartile spread. A change within
+    ``RANGE_ROUNDING`` of a range bound, relative to the bound, counts as
+    inside the range."""
     out = {}
     for key in ("steady_state_mse", "steady_state_mse_central"):
         parent = [v["parent"][key] for v in per_seed.values()]
         low, high = min(parent), max(parent)
+        inside_low, inside_high = low - RANGE_ROUNDING * abs(low), high + RANGE_ROUNDING * abs(high)
         q1, _, q3 = statistics.quantiles(parent, n=4)
         moves = {seed: v["change"][key] - v["parent"][key] for seed, v in per_seed.items()}
         largest = max(abs(m) for m in moves.values())
@@ -113,7 +117,7 @@ def summarize(per_seed: dict) -> dict:
             "change_minus_parent": moves,
             "max_abs_change": largest,
             "seeds_outside_the_parent_range": [
-                seed for seed, v in per_seed.items() if not low <= v["change"][key] <= high
+                seed for seed, v in per_seed.items() if not inside_low <= v["change"][key] <= inside_high
             ],
             "every_seed_moved_less_than_the_quartile_spread": largest < q3 - q1,
         }
